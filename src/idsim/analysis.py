@@ -135,7 +135,7 @@ def dmin_batch(s_true: np.ndarray, beta: np.ndarray, h: np.ndarray, const: PamCo
     )
     cands = core.candidate_pairs(const)
     h_pair = np.stack([h, h], axis=-1)
-    w = core.weight_matrix_grid(y[:, None, :], h_pair, cands)[:, 0, :]
+    w = core.weight_matrix(y, h_pair, cands)
     is_true = (cands[None, :, 0] == s_true[:, 0:1]) & (cands[None, :, 1] == s_true[:, 1:2])
     return np.min(np.where(is_true, np.inf, w), axis=1) ** 2
 
@@ -203,12 +203,16 @@ def dof_slope(
     The constellation half-size grows as P^((1-eps)/4). The pair rides one
     fixed generic channel draw (the degrees-of-freedom claim is per
     realization); the pair-error probability is pooled over symbol and
-    noise draws.
+    noise draws. Every power must exceed 1 (0 dB), where (1/2) log2 P, the
+    divisor of ``DofPoint.ratio``, is positive.
     """
+    p_grid = np.asarray(p_grid, dtype=float)
+    if not np.all(p_grid > 1.0):
+        raise ValueError("dof needs every power above 0 dB: (1/2) log2 P must be positive")
     h_common = float(_signed_rayleigh(rng, ()))
     g_int = _signed_rayleigh(rng, k - 2)
     out = []
-    for p in np.asarray(p_grid, dtype=float):
+    for p in p_grid:
         q_s = constellation_size_for_power(p, epsilon)
         const = constellation_for_power(p, q_s)
         pe = _pair_error_rate(const, h_common, g_int, sigma2, trials, rng)
@@ -253,8 +257,7 @@ def _pair_error_rate(
         y[:, 0] = h_common * s[:, 0] + beta * h_common * s[:, 1]
         y[:, 1] = h_common * s[:, 1] - beta * h_common * s[:, 0]
         y += rng.normal(0.0, np.sqrt(sigma2), size=(n, 2))
-        w = core.weight_matrix(y, np.broadcast_to(h_pair, (n, 2)), cands)
-        hat = cands[np.argmin(w, axis=1)]
+        hat = cands[core.argmin_metric(core.weight_matrix, y, np.broadcast_to(h_pair, (n, 2)), cands)]
         errors += int(np.sum((hat[:, 0] != s[:, 0]) | (hat[:, 1] != s[:, 1])))
         done += n
     return errors / trials

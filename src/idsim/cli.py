@@ -25,12 +25,17 @@ def parse_snr_grid(text: str) -> np.ndarray:
         if len(parts) != 3:
             raise ValueError(f"expected start:step:stop, got {text!r}")
         start, step, stop = (float(p) for p in parts)
+        if not all(np.isfinite([start, step, stop])):
+            raise ValueError(f"SNR values must be finite, got {text!r}")
         if step <= 0:
             raise ValueError("SNR step must be positive")
         if stop < start:
             raise ValueError("SNR stop must not precede start")
         return np.arange(start, stop + step / 2.0, step)
-    return np.array([float(p) for p in text.split(",")])
+    grid = np.array([float(p) for p in text.split(",")])
+    if not np.all(np.isfinite(grid)):
+        raise ValueError(f"SNR values must be finite, got {text!r}")
+    return grid
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:

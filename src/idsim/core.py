@@ -168,28 +168,20 @@ def candidate_pairs(const: PamConstellation) -> np.ndarray:
 def weight_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray) -> np.ndarray:
     """Weight of every candidate pair for a batch of observations.
 
-    y: (..., 2) observations, h_pair: (..., 2) pair gains, cands: (C, 2).
-    Returns (..., C) values |<y - v, v>| / ||v|| with v = h_pair * cand.
+    y: (..., 2) observations, h_pair: (..., 2) pair gains (broadcast
+    against y, so ``h_pair[..., None, :]`` scores a grid of observations per
+    channel), cands: (C, 2). Returns (..., C) values |<y - v, v>| / ||v||
+    with v = h_pair * cand, through the identity <y - v, v> = A - B with
+    A = <y, v> = (y * h_pair) @ cands^T and B = ||v||^2 = h_pair^2 @ (cands^2)^T,
+    so the weight is |A - B| / sqrt(B) and no (..., C, 2) array is built.
     """
-    v = h_pair[..., None, :] * cands  # (..., C, 2)
-    d = y[..., None, :] - v
-    num = np.abs(np.sum(d * v, axis=-1))
-    den = np.sqrt(np.sum(v * v, axis=-1))
-    return num / den
-
-
-def weight_matrix_grid(y_grid: np.ndarray, h_pair: np.ndarray, cands: np.ndarray) -> np.ndarray:
-    """Weights for a grid of observations sharing candidate vectors per row.
-
-    y_grid: (..., T, 2) observations, h_pair: (..., 2) pair gains,
-    cands: (C, 2). Returns (..., T, C). Same quantity as ``weight_matrix``
-    through <y - v, v> = <y, v> - ||v||^2, evaluated as a matrix product so
-    no (T, C, 2) intermediate is materialized.
-    """
-    v = h_pair[..., None, :] * cands  # (..., C, 2)
-    v_sq = np.sum(v * v, axis=-1)
-    dot = y_grid @ np.swapaxes(v, -1, -2)  # (..., T, C)
-    return np.abs(dot - v_sq[..., None, :]) / np.sqrt(v_sq)[..., None, :]
+    w = (y * h_pair) @ cands.T
+    energy = (h_pair * h_pair) @ (cands * cands).T
+    w -= energy
+    np.abs(w, out=w)
+    np.sqrt(energy, out=energy)
+    w /= energy
+    return w
 
 
 def ml_metric_matrix(
@@ -204,18 +196,67 @@ def ml_metric_matrix(
     ``interference_power`` is p * sum of out-of-pair h_k^2 (shape (...,)),
     so eta^2(cand) = interference_power / (h_b * cand_b)^2. The metric is
     sigma2 * (y - v)^T C^{-1} (y - v) with C = eta^2 vperp vperp^T + sigma2 I,
-    evaluated through the rank-one closed form.
+    evaluated through the rank-one closed form. ||y - v||^2 = ||y||^2 - 2A + B
+    as in ``weight_matrix``, and since <v, vperp> = 0 the projection
+    <y - v, vperp> = <y, vperp> = [y0 h1, -y1 h0] @ [cb, ca]^T.
     """
-    v = h_pair[..., None, :] * cands  # (..., C, 2)
-    d = y[..., None, :] - v
-    vperp = np.stack([v[..., 1], -v[..., 0]], axis=-1)
+    v_sq = (h_pair * h_pair) @ (cands * cands).T
+    y_rot = np.stack([y[..., 0] * h_pair[..., 1], -y[..., 1] * h_pair[..., 0]], axis=-1)
+    proj = y_rot @ cands[:, ::-1].T
+    d_sq = (y * h_pair) @ cands.T
+    d_sq *= -2.0
+    d_sq += v_sq
+    d_sq += np.sum(y * y, axis=-1)[..., None]
     eta2 = interference_power[..., None] / (h_pair[..., None, 1] * cands[:, 1]) ** 2
-    d_sq = np.sum(d * d, axis=-1)
-    proj = np.sum(d * vperp, axis=-1)
-    v_sq = np.sum(v * v, axis=-1)
     denom = sigma2 + eta2 * v_sq
     correction = np.divide(eta2 * proj**2, denom, out=np.zeros_like(d_sq), where=denom > 0)
-    return d_sq - correction
+    d_sq -= correction
+    return d_sq
+
+
+def known_beta_metric_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, beta) -> np.ndarray:
+    """Squared distance ||y - v - beta * v_perp||^2 of every candidate pair.
+
+    y: (..., 2), h_pair: (..., 2), beta: scalar or (...,). Expanding the
+    square with <v, v_perp> = 0 gives
+    ||y||^2 - 2 [(y0 - beta y1) h0, (beta y0 + y1) h1] @ cands^T + (1 + beta^2) B,
+    with B = ||v||^2 as in ``weight_matrix``.
+    """
+    beta = np.asarray(beta, dtype=float)
+    y0, y1 = y[..., 0], y[..., 1]
+    y_mix = np.stack([(y0 - beta * y1) * h_pair[..., 0], (beta * y0 + y1) * h_pair[..., 1]], axis=-1)
+    d2 = y_mix @ cands.T
+    d2 *= -2.0
+    d2 += (1.0 + beta * beta)[..., None] * ((h_pair * h_pair) @ (cands * cands).T)
+    d2 += np.sum(y * y, axis=-1)[..., None]
+    return d2
+
+
+# Values per block in ``argmin_metric``. Each (rows, C) float64 array a
+# metric builds is then at most 64 KiB, under glibc's 128 KiB mmap threshold:
+# it comes from the heap, stays in cache, and the next block reuses its
+# memory. Arrays of a whole chunk (16 MB at C = 256) are mapped and
+# page-faulted afresh on every call, which spent a quarter or more of a
+# run's time in the operating system.
+BLOCK_VALUES = 1 << 13
+
+
+def argmin_metric(metric, y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, *args) -> np.ndarray:
+    """Per-row index of the smallest ``metric(y, h_pair, cands, *args)``.
+
+    y and h_pair are (n, 2); an array in ``args`` holds one value per row
+    and is sliced with them, a scalar is passed as it is. The metric is
+    evaluated on blocks of about ``BLOCK_VALUES`` values, so no (n, C) array
+    is built; every row is scored on its own, so the result is the row-wise
+    argmin of the whole (n, C) metric.
+    """
+    rows = max(1, BLOCK_VALUES // len(cands))
+    idx = np.empty(len(y), dtype=np.intp)
+    for lo in range(0, len(y), rows):
+        block = slice(lo, lo + rows)
+        part = [a[block] if np.ndim(a) else a for a in args]
+        idx[block] = np.argmin(metric(y[block], h_pair[block], cands, *part), axis=1)
+    return idx
 
 
 def _interference_power(ch: ChannelRealization, m: int, p: float) -> float:
@@ -299,9 +340,7 @@ def ml_decode_pair_known_beta(
     a, b = pair_members(ch.k, m)
     h_pair = np.array([ch.h[a], ch.h[b]])
     cands = candidate_pairs(const)
-    v = h_pair[None, :] * cands
-    z = np.stack([v[:, 0] + beta * v[:, 1], v[:, 1] - beta * v[:, 0]], axis=-1)
-    d2 = np.sum((rp.y[None, :] - z) ** 2, axis=-1)
+    d2 = known_beta_metric_matrix(rp.y, h_pair, cands, beta)
     idx = int(np.argmin(d2))
     return DecodeResult(pair=(cands[idx, 0], cands[idx, 1]), weight_min=float(d2[idx]), decoder=ML, pair_index=m)
 

@@ -69,6 +69,8 @@ class ExperimentConfig:
         self.zeta_db_grid = np.atleast_1d(np.asarray(self.zeta_db_grid, dtype=float))
         if self.zeta_db_grid.size == 0:
             raise ValueError("SNR grid must be nonempty")
+        if not np.all(np.isfinite(self.zeta_db_grid)):
+            raise ValueError("SNR grid values must be finite")
 
     def power_at(self, zeta_db: float) -> float:
         """Per-symbol power for a grid point; sigma2 = 0 uses a unit reference."""
@@ -119,18 +121,16 @@ def _id_decode_batch(cfg, const, h, s, beta, y, p):
     cands = core.candidate_pairs(const)
     h_pair = h[:, :2]
     if cfg.decoder == core.WEIGHT:
-        metric = core.weight_matrix(y, h_pair, cands)
+        idx = core.argmin_metric(core.weight_matrix, y, h_pair, cands)
     elif cfg.k == 2:
         # beta is deterministically 1 without interferers: exact ML.
-        v = h_pair[:, None, :] * cands[None, :, :]
-        z = np.stack([v[:, :, 0] + v[:, :, 1], v[:, :, 1] - v[:, :, 0]], axis=-1)
-        metric = np.sum((y[:, None, :] - z) ** 2, axis=-1)
+        idx = core.argmin_metric(core.known_beta_metric_matrix, y, h_pair, cands, 1.0)
     else:
         mask = np.ones(cfg.k, dtype=bool)
         mask[[0, 1]] = False
         ipow = p * np.sum(h[:, mask] ** 2, axis=1)
-        metric = core.ml_metric_matrix(y, h_pair, cands, ipow, cfg.sigma2)
-    return cands[np.argmin(metric, axis=1)]
+        idx = core.argmin_metric(core.ml_metric_matrix, y, h_pair, cands, ipow, cfg.sigma2)
+    return cands[idx]
 
 
 def run_ser_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
@@ -292,8 +292,7 @@ def run_multicast(cfg: ExperimentConfig) -> list[SweepRow]:
                 y = np.stack([hu * x1, hu * x2], axis=-1)
                 y += rng.normal(0.0, np.sqrt(cfg.sigma2), size=(n, 2))
                 hp = np.stack([hu, hu], axis=-1)
-                w = core.weight_matrix(y, hp, cands)
-                hat = cands[np.argmin(w, axis=1)]
+                hat = cands[core.argmin_metric(core.weight_matrix, y, hp, cands)]
                 if u == 0:
                     err[0] += int(np.sum(hat[:, 0] != s[:, 0]))
                 elif u == 1:

@@ -122,8 +122,7 @@ def s3_rate_slope(
             y[:, 1] = h3 * (s12[:, 1] - beta * s12[:, 0])
             y += rng.normal(0.0, np.sqrt(sigma2), size=(n, 2))
             hp = np.full((n, 2), h3)
-            w = core.weight_matrix(y, hp, cands)
-            hat = cands[np.argmin(w, axis=1)]
+            hat = cands[core.argmin_metric(core.weight_matrix, y, hp, cands)]
             resid = y[:, 0] - h3 * (hat[:, 0] + hat[:, 1])
             s3_hat = s3_const.nearest(resid / (alpha * h3))
             errors += int(np.sum(s3_hat != s3))

@@ -60,7 +60,7 @@ def _noiseless_exhaustive_errors(q_s: int, k: int, draws: int) -> int:
         y1 = h[:, 0:1] * cands[None, :, 0] + h[:, 1:2] * cands[None, :, 1] + interference[:, None]
         ym = h[:, 1:2] * cands[None, :, 1] - beta * h[:, 0:1] * cands[None, :, 0]
         y = np.stack([y1, ym], axis=-1)
-        w = core.weight_matrix_grid(y, h[:, :2], cands)
+        w = core.weight_matrix(y, h[:, None, :2], cands)
         errors += int(np.sum(np.argmin(w, axis=-1) != np.arange(n_cands)[None, :]))
         done += n
     return errors

@@ -217,6 +217,12 @@ class TestDofSlope:
         assert pts[0].q_s == 1
         assert pts[0].ratio < 0.15
 
+    @pytest.mark.parametrize("p_grid", [[1.0, 10.0], [0.1, 100.0], [float("nan")]])
+    def test_rejects_powers_at_or_below_0db(self, p_grid):
+        """The ratio divides by (1/2) log2 P, which is zero at P = 1 and negative below."""
+        with pytest.raises(ValueError, match="0 dB"):
+            analysis.dof_slope(p_grid, 0.1, trials=10, rng=np.random.default_rng(0))
+
     def test_growth_slope_regression(self):
         pts = [
             analysis.DofPoint(p=10.0**d, q_s=2, pe=0.0, fano_bound=0.45 * 0.5 * np.log2(10.0**d))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idsim import core, model
 
@@ -173,10 +175,107 @@ class TestWeight:
         cands = core.candidate_pairs(const)
         h = rng.normal(size=(6, 2))
         y = rng.normal(size=(6, 5, 2))
-        grid = core.weight_matrix_grid(y, h, cands)
+        grid = core.weight_matrix(y, h[:, None, :], cands)
         for t in range(5):
             np.testing.assert_allclose(
                 grid[:, t, :], core.weight_matrix(y[:, t, :], h, cands), rtol=1e-9, atol=1e-12
+            )
+
+
+# Reference kernels: the pair metrics written directly over the (n, C, 2)
+# candidate vectors v = h_pair * cand, as the matrix-product kernels in core
+# must reproduce them.
+def _direct_weight(y, h_pair, cands):
+    v = h_pair[..., None, :] * cands
+    d = y[..., None, :] - v
+    return np.abs(np.sum(d * v, axis=-1)) / np.sqrt(np.sum(v * v, axis=-1))
+
+
+def _direct_ml(y, h_pair, cands, interference_power, sigma2):
+    v = h_pair[..., None, :] * cands
+    d = y[..., None, :] - v
+    vperp = np.stack([v[..., 1], -v[..., 0]], axis=-1)
+    eta2 = interference_power[..., None] / (h_pair[..., None, 1] * cands[:, 1]) ** 2
+    d_sq = np.sum(d * d, axis=-1)
+    proj = np.sum(d * vperp, axis=-1)
+    denom = sigma2 + eta2 * np.sum(v * v, axis=-1)
+    return d_sq - np.divide(eta2 * proj**2, denom, out=np.zeros_like(d_sq), where=denom > 0)
+
+
+def _direct_known_beta(y, h_pair, cands, beta):
+    v = h_pair[..., None, :] * cands
+    b = np.asarray(beta)[..., None]
+    z = np.stack([v[..., 0] + b * v[..., 1], v[..., 1] - b * v[..., 0]], axis=-1)
+    return np.sum((y[..., None, :] - z) ** 2, axis=-1)
+
+
+class TestMatrixProductKernels:
+    """The core kernels against the direct formulas above, on noisy frames.
+
+    Each kernel value is a few roundings of terms no larger than the signal
+    energy ||y||^2 + ||v||^2, which grows as P; the weight divides that by
+    ||v||. Values must agree to 32 eps times that scale (the largest
+    deviation seen is about 6 eps), and every argmin must be equal.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        q_s=st.sampled_from([1, 2, 8]),
+        snr_db=st.floats(0.0, 60.0),
+        k=st.sampled_from([2, 3, 4]),
+    )
+    def test_match_direct_formulas(self, seed, q_s, snr_db, k):
+        rng = RNG(seed)
+        p, n = 10.0 ** (snr_db / 10.0), 64
+        const = model.constellation_for_power(p, q_s)
+        cands = core.candidate_pairs(const)
+        h, _ = model.draw_channels(k, k, n, rng)
+        s = const.draw(rng, size=(n, k))
+        beta = 1.0 + np.sum(h[:, 2:] * s[:, 2:], axis=1) / (h[:, 1] * s[:, 1])
+        y = np.stack([np.sum(h * s, axis=1), h[:, 1] * s[:, 1] - beta * h[:, 0] * s[:, 0]], axis=-1)
+        y += rng.normal(size=(n, 2))
+        h_pair = h[:, :2]
+        ipow = p * np.sum(h[:, 2:] ** 2, axis=1)
+        y_sq = np.sum(y * y, axis=1)[:, None]
+        v_sq = np.sum((h_pair[:, None, :] * cands) ** 2, axis=-1)
+        tol = 32 * np.finfo(float).eps
+        cases = [
+            (core.weight_matrix(y, h_pair, cands), _direct_weight(y, h_pair, cands),
+             (y_sq + v_sq) / np.sqrt(v_sq)),
+            (core.ml_metric_matrix(y, h_pair, cands, ipow, 1.0), _direct_ml(y, h_pair, cands, ipow, 1.0),
+             y_sq + v_sq),
+            (core.known_beta_metric_matrix(y, h_pair, cands, beta), _direct_known_beta(y, h_pair, cands, beta),
+             y_sq + (1.0 + beta[:, None] ** 2) * v_sq),
+        ]
+        for fast, direct, scale in cases:
+            assert fast.shape == direct.shape == (n, cands.shape[0])
+            assert np.all(np.abs(fast - direct) <= tol * scale)
+            np.testing.assert_array_equal(np.argmin(fast, axis=1), np.argmin(direct, axis=1))
+
+
+class TestArgminMetric:
+    """The blocked argmin equals the row-wise argmin of the whole matrix."""
+
+    @pytest.mark.parametrize("q_s", [1, 8, 32])
+    def test_matches_whole_matrix(self, q_s):
+        rng = RNG(q_s)
+        p, n = 100.0, 1000
+        cands = core.candidate_pairs(model.constellation_for_power(p, q_s))
+        h, _ = model.draw_channels(4, 4, n, rng)
+        h_pair = h[:, :2]
+        y = rng.normal(scale=np.sqrt(p), size=(n, 2))
+        ipow = p * np.sum(h[:, 2:] ** 2, axis=1)
+        beta = rng.normal(size=n)
+        for metric, args in [
+            (core.weight_matrix, ()),
+            (core.ml_metric_matrix, (ipow, 1.0)),
+            (core.known_beta_metric_matrix, (beta,)),
+            (core.known_beta_metric_matrix, (1.0,)),
+        ]:
+            np.testing.assert_array_equal(
+                core.argmin_metric(metric, y, h_pair, cands, *args),
+                np.argmin(metric(y, h_pair, cands, *args), axis=1),
             )
 
 

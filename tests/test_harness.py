@@ -1,5 +1,6 @@
 """Tests for the sweep harness, CSV schema, and the command-line interface."""
 
+import os
 import subprocess
 import sys
 
@@ -32,6 +33,8 @@ class TestConfigValidation:
             dict(q_s=0),
             dict(decoder="viterbi"),
             dict(zeta_db_grid=[]),
+            dict(zeta_db_grid=[float("nan")]),
+            dict(zeta_db_grid=[0.0, float("inf")]),
         ],
     )
     def test_rejects_bad_config(self, kw):
@@ -166,7 +169,7 @@ class TestSnrGridParsing:
     def test_comma_list(self):
         np.testing.assert_allclose(cli.parse_snr_grid("3,7.5"), [3.0, 7.5])
 
-    @pytest.mark.parametrize("bad", ["0:0:10", "10:5:0", "1:2", "a:b:c"])
+    @pytest.mark.parametrize("bad", ["0:0:10", "10:5:0", "1:2", "a:b:c", "nan", "inf", "0,-inf", "0:5:inf", "nan:5:10"])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             cli.parse_snr_grid(bad)
@@ -214,6 +217,16 @@ class TestCliEndToEnd:
         assert res.returncode == 1
         assert "error" in res.stderr
 
+    @pytest.mark.parametrize("snr", ["nan", "inf", "0,nan"])
+    def test_non_finite_snr_exits_nonzero(self, snr, capsys):
+        assert cli.main(["ser", "--snr-db", snr, "--trials", "10"]) == 1
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("snr", ["0:10:20", "-10,20"])
+    def test_dof_at_or_below_0db_exits_nonzero(self, snr, capsys):
+        assert cli.main(["dof", f"--snr-db={snr}", "--trials", "10"]) == 1
+        assert "0 dB" in capsys.readouterr().err
+
     def test_unknown_subcommand_exits_nonzero(self):
         res = self.run_cli("frobnicate")
         assert res.returncode != 0
@@ -224,3 +237,27 @@ class TestCliEndToEnd:
         )
         assert res.returncode == 0
         assert "log10_ser" in res.stdout.split("\n")[0]
+
+
+class TestBlasThreads:
+    """Importing idsim before numpy runs BLAS on one thread unless a count is set."""
+
+    def omp_threads_after_import(self, **env):
+        base = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        res = subprocess.run(
+            [sys.executable, "-c", "import os, idsim; print(os.environ.get('OMP_NUM_THREADS'))"],
+            env={**base, **env},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert res.returncode == 0, res.stderr
+        return res.stdout.strip()
+
+    def test_one_thread_by_default(self):
+        assert self.omp_threads_after_import() == "1"
+
+    @pytest.mark.parametrize("var", ["OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"])
+    def test_callers_count_kept(self, var):
+        expected = "2" if var == "OMP_NUM_THREADS" else "None"
+        assert self.omp_threads_after_import(**{var: "2"}) == expected
