@@ -38,10 +38,10 @@ def parse_snr_grid(text: str) -> np.ndarray:
     return grid
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, snr_db: str) -> None:
     sub.add_argument("--k", type=int, default=2, help="number of symbols per frame")
     sub.add_argument("--qs", type=int, default=2, help="constellation half-size")
-    sub.add_argument("--snr-db", default="0:2:30", help="zeta grid in dB, start:step:stop")
+    sub.add_argument("--snr-db", default=snr_db, help="zeta grid in dB, start:step:stop (default: %(default)s)")
     sub.add_argument("--trials", type=int, default=100_000, help="Monte Carlo trials per grid point")
     sub.add_argument("--seed", type=int, default=harness.DEFAULT_SEED, help="master seed")
     sub.add_argument("--decoder", choices=["weight", "ml"], default="weight")
@@ -54,14 +54,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="idsim", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="experiment", required=True)
-    for name, descr in [
-        ("ser", "symbol-error-rate sweep: ID vs MRC MISO vs successive decoding"),
-        ("rate", "normalized achievable-rate sweep with floor and Fano curves"),
-        ("dmin", "scaled minimum-distance probe over doubling constellation sizes"),
-        ("dof", "degrees-of-freedom sweep with power-scaled constellations"),
-        ("multicast", "three-user multicast SER sweep"),
+    # dof needs every power above 0 dB, so its grid starts higher.
+    for name, descr, snr_db in [
+        ("ser", "symbol-error-rate sweep: ID vs MRC MISO vs successive decoding", "0:2:30"),
+        ("rate", "normalized achievable-rate sweep with floor and Fano curves", "0:2:30"),
+        ("dmin", "scaled minimum-distance probe over doubling constellation sizes", "0:2:30"),
+        ("dof", "degrees-of-freedom sweep with power-scaled constellations", "20:10:60"),
+        ("multicast", "three-user multicast SER sweep", "0:2:30"),
     ]:
-        _add_common(subs.add_parser(name, help=descr))
+        _add_common(subs.add_parser(name, help=descr), snr_db)
     return parser
 
 

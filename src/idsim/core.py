@@ -165,7 +165,7 @@ def candidate_pairs(const: PamConstellation) -> np.ndarray:
     return np.column_stack([sa.ravel(), sb.ravel()])
 
 
-def weight_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray) -> np.ndarray:
+def weight_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, out=None) -> np.ndarray:
     """Weight of every candidate pair for a batch of observations.
 
     y: (..., 2) observations, h_pair: (..., 2) pair gains (broadcast
@@ -174,14 +174,23 @@ def weight_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray) -> np.nd
     with v = h_pair * cand, through the identity <y - v, v> = A - B with
     A = <y, v> = (y * h_pair) @ cands^T and B = ||v||^2 = h_pair^2 @ (cands^2)^T,
     so the weight is |A - B| / sqrt(B) and no (..., C, 2) array is built.
+    ``out``, if given, holds at least two (..., C) float64 buffers; the
+    result is written into the first.
     """
-    w = (y * h_pair) @ cands.T
-    energy = (h_pair * h_pair) @ (cands * cands).T
+    w, energy = out[:2] if out is not None else (None, None)
+    w = np.matmul(y * h_pair, cands.T, out=w)
+    energy = np.matmul(h_pair * h_pair, (cands * cands).T, out=energy)
     w -= energy
     np.abs(w, out=w)
     np.sqrt(energy, out=energy)
     w /= energy
     return w
+
+
+# Smallest positive double. Clamping the likelihood denominator to it changes
+# only zero denominators; the numerator is zero there too, so the correction
+# is 0.
+_TINY = np.nextafter(0.0, 1.0)
 
 
 def ml_metric_matrix(
@@ -190,55 +199,73 @@ def ml_metric_matrix(
     cands: np.ndarray,
     interference_power: np.ndarray,
     sigma2: float,
+    out=None,
 ) -> np.ndarray:
     """Full-covariance likelihood metric for every candidate pair.
 
-    ``interference_power`` is p * sum of out-of-pair h_k^2 (shape (...,)),
-    so eta^2(cand) = interference_power / (h_b * cand_b)^2. The metric is
+    ``interference_power`` I >= 0 is p * sum of out-of-pair h_k^2 (shape
+    (...,)), so eta^2(cand) = I / (h_b * cand_b)^2. The metric is
     sigma2 * (y - v)^T C^{-1} (y - v) with C = eta^2 vperp vperp^T + sigma2 I,
-    evaluated through the rank-one closed form. ||y - v||^2 = ||y||^2 - 2A + B
-    as in ``weight_matrix``, and since <v, vperp> = 0 the projection
-    <y - v, vperp> = <y, vperp> = [y0 h1, -y1 h0] @ [cb, ca]^T.
+    evaluated through the rank-one closed form with its correction multiplied
+    top and bottom by (h_b cand_b)^2:
+
+        ||y - v||^2 - I <y, vperp>^2 / (sigma2 (h_b cand_b)^2 + I ||v||^2),
+
+    using <v, vperp> = 0. Each (..., C) operand is one matrix product:
+    ||y - v||^2 = [||y||^2, -2 y0 h0, -2 y1 h1, h0^2, h1^2] @ [1, ca, cb, ca^2, cb^2]^T,
+    sqrt(I) <y, vperp> = sqrt(I) [y0 h1, y1 h0] @ [cb, -ca]^T, and the
+    denominator is [I h0^2, (sigma2 + I) h1^2] @ [ca^2, cb^2]^T. Where the
+    denominator is zero, so is the numerator, and the correction is 0.
+    y and h_pair have the same shape; ``out``, if given, holds at least
+    three (..., C) float64 buffers, and the result is written into the first.
     """
-    v_sq = (h_pair * h_pair) @ (cands * cands).T
-    y_rot = np.stack([y[..., 0] * h_pair[..., 1], -y[..., 1] * h_pair[..., 0]], axis=-1)
-    proj = y_rot @ cands[:, ::-1].T
-    d_sq = (y * h_pair) @ cands.T
-    d_sq *= -2.0
-    d_sq += v_sq
-    d_sq += np.sum(y * y, axis=-1)[..., None]
-    eta2 = interference_power[..., None] / (h_pair[..., None, 1] * cands[:, 1]) ** 2
-    denom = sigma2 + eta2 * v_sq
-    correction = np.divide(eta2 * proj**2, denom, out=np.zeros_like(d_sq), where=denom > 0)
-    d_sq -= correction
+    d_sq, proj, denom = out[:3] if out is not None else (None, None, None)
+    ipow = np.asarray(interference_power, dtype=float)
+    h_sq = h_pair * h_pair
+    c_sq = cands * cands
+    y_terms = np.concatenate([np.sum(y * y, axis=-1, keepdims=True), -2.0 * (y * h_pair), h_sq], axis=-1)
+    d_sq = np.matmul(y_terms, np.column_stack([np.ones(len(cands)), cands, c_sq]).T, out=d_sq)
+    y_rot = np.sqrt(ipow)[..., None] * (y * h_pair[..., ::-1])
+    proj = np.matmul(y_rot, (cands[:, ::-1] * [1.0, -1.0]).T, out=proj)
+    proj *= proj
+    denom = np.matmul(h_sq * np.stack([ipow, sigma2 + ipow], axis=-1), c_sq.T, out=denom)
+    np.maximum(denom, _TINY, out=denom)
+    proj /= denom
+    d_sq -= proj
     return d_sq
 
 
-def known_beta_metric_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, beta) -> np.ndarray:
+def known_beta_metric_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, beta, out=None) -> np.ndarray:
     """Squared distance ||y - v - beta * v_perp||^2 of every candidate pair.
 
     y: (..., 2), h_pair: (..., 2), beta: scalar or (...,). Expanding the
     square with <v, v_perp> = 0 gives
     ||y||^2 - 2 [(y0 - beta y1) h0, (beta y0 + y1) h1] @ cands^T + (1 + beta^2) B,
-    with B = ||v||^2 as in ``weight_matrix``.
+    with B = ||v||^2 as in ``weight_matrix``. ``out``, if given, holds at
+    least two (..., C) float64 buffers; the result is written into the first.
     """
+    d2, energy = out[:2] if out is not None else (None, None)
     beta = np.asarray(beta, dtype=float)
     y0, y1 = y[..., 0], y[..., 1]
     y_mix = np.stack([(y0 - beta * y1) * h_pair[..., 0], (beta * y0 + y1) * h_pair[..., 1]], axis=-1)
-    d2 = y_mix @ cands.T
+    d2 = np.matmul(y_mix, cands.T, out=d2)
     d2 *= -2.0
-    d2 += (1.0 + beta * beta)[..., None] * ((h_pair * h_pair) @ (cands * cands).T)
+    energy = np.matmul(h_pair * h_pair, (cands * cands).T, out=energy)
+    energy *= (1.0 + beta * beta)[..., None]
+    d2 += energy
     d2 += np.sum(y * y, axis=-1)[..., None]
     return d2
 
 
-# Values per block in ``argmin_metric``. Each (rows, C) float64 array a
-# metric builds is then at most 64 KiB, under glibc's 128 KiB mmap threshold:
-# it comes from the heap, stays in cache, and the next block reuses its
-# memory. Arrays of a whole chunk (16 MB at C = 256) are mapped and
-# page-faulted afresh on every call, which spent a quarter or more of a
-# run's time in the operating system.
-BLOCK_VALUES = 1 << 13
+# Values per block in ``argmin_metric``: each of its METRIC_BUFFERS (rows, C)
+# float64 buffers holds at most 256 KiB, so all of them stay in a 2 MiB L2
+# cache while a block is scored. At most BLOCK_ROWS rows keep the metrics'
+# per-row operands, up to (rows, 5) float64, under glibc's 128 KiB mmap
+# threshold, so they come from the heap instead of being mapped and
+# page-faulted afresh in every block; this binds only below C = 16.
+BLOCK_VALUES = 1 << 15
+BLOCK_ROWS = 1 << 11
+METRIC_BUFFERS = 3
 
 
 def argmin_metric(metric, y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, *args) -> np.ndarray:
@@ -248,14 +275,20 @@ def argmin_metric(metric, y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, 
     and is sliced with them, a scalar is passed as it is. The metric is
     evaluated on blocks of about ``BLOCK_VALUES`` values, so no (n, C) array
     is built; every row is scored on its own, so the result is the row-wise
-    argmin of the whole (n, C) metric.
+    argmin of the whole (n, C) metric. The block buffers are allocated once
+    and passed to the metric as ``out``, so scoring a block allocates no
+    (rows, C) array.
     """
-    rows = max(1, BLOCK_VALUES // len(cands))
-    idx = np.empty(len(y), dtype=np.intp)
-    for lo in range(0, len(y), rows):
+    n, c = len(y), len(cands)
+    rows = max(1, min(n, BLOCK_ROWS, BLOCK_VALUES // c))
+    bufs = [np.empty((rows, c)) for _ in range(METRIC_BUFFERS)]
+    idx = np.empty(n, dtype=np.intp)
+    for lo in range(0, n, rows):
         block = slice(lo, lo + rows)
+        m = min(rows, n - lo)
         part = [a[block] if np.ndim(a) else a for a in args]
-        idx[block] = np.argmin(metric(y[block], h_pair[block], cands, *part), axis=1)
+        out = [b[:m] for b in bufs] if m < rows else bufs
+        np.argmin(metric(y[block], h_pair[block], cands, *part, out=out), axis=1, out=idx[block])
     return idx
 
 

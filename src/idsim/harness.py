@@ -101,9 +101,8 @@ def _rng(cfg: ExperimentConfig, *path: int) -> np.random.Generator:
     return np.random.default_rng([cfg.seed, _EXP_ID[cfg.experiment], *path])
 
 
-def _id_frame_batch(cfg, p, n, rng):
+def _id_frame_batch(cfg, const, n, rng):
     """One chunk of frames: channel, symbols, and pair-1 observations."""
-    const = model.constellation_for_power(p, cfg.q_s)
     h, g = model.draw_channels(cfg.k, cfg.n_antennas, n, rng)
     s = const.draw(rng, size=(n, cfg.k))
     mask = np.ones(cfg.k, dtype=bool)
@@ -113,12 +112,11 @@ def _id_frame_batch(cfg, p, n, rng):
     y = np.empty((n, 2))
     y[:, 0] = np.sum(h * s, axis=1) + rng.normal(0.0, np.sqrt(cfg.sigma2), n)
     y[:, 1] = h[:, 1] * s[:, 1] - beta * h[:, 0] * s[:, 0] + rng.normal(0.0, np.sqrt(cfg.sigma2), n)
-    return const, h, g, s, beta, y
+    return h, g, s, beta, y
 
 
-def _id_decode_batch(cfg, const, h, s, beta, y, p):
+def _id_decode_batch(cfg, cands, h, y, p):
     """Decode pair 1 for a chunk; returns decoded pairs (n, 2)."""
-    cands = core.candidate_pairs(const)
     h_pair = h[:, :2]
     if cfg.decoder == core.WEIGHT:
         idx = core.argmin_metric(core.weight_matrix, y, h_pair, cands)
@@ -139,6 +137,8 @@ def run_ser_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     id_scheme = f"id_{cfg.decoder}"
     for zi, zdb in enumerate(cfg.zeta_db_grid):
         p = cfg.power_at(zdb)
+        const = model.constellation_for_power(p, cfg.q_s)
+        cands = core.candidate_pairs(const)
         const2p = model.constellation_for_power(2.0 * p, cfg.q_s)
         err = {id_scheme: 0, "mrc_miso": 0, "successive": 0}
         denom = {id_scheme: 0, "mrc_miso": 0, "successive": 0}
@@ -148,8 +148,8 @@ def run_ser_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
         while done < cfg.trials:
             n = min(CHUNK, cfg.trials - done)
             rng = _rng(cfg, zi, chunk_idx)
-            const, h, g, s, beta, y = _id_frame_batch(cfg, p, n, rng)
-            hat = _id_decode_batch(cfg, const, h, s, beta, y, p)
+            h, g, s, beta, y = _id_frame_batch(cfg, const, n, rng)
+            hat = _id_decode_batch(cfg, cands, h, y, p)
             err[id_scheme] += int(np.sum(hat[:, 0] != s[:, 0]) + np.sum(hat[:, 1] != s[:, 1]))
             denom[id_scheme] += 2 * n
             power2 += float(np.sum(beta**2 * s[:, 0] ** 2 + s[:, 1] ** 2))
@@ -206,14 +206,16 @@ def run_rate_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
         c_mean = float(np.mean(c))
         r_mean = float(np.mean(r_tot))
 
+        const = model.constellation_for_power(p, cfg.q_s)
+        cands = core.candidate_pairs(const)
         err = 0
         done = 0
         chunk_idx = 1
         while done < cfg.trials:
             n = min(CHUNK, cfg.trials - done)
             rng = _rng(cfg, zi, chunk_idx)
-            const, hh, gg, ss, beta, y = _id_frame_batch(cfg, p, n, rng)
-            hat = _id_decode_batch(cfg, const, hh, ss, beta, y, p)
+            hh, _, ss, _, y = _id_frame_batch(cfg, const, n, rng)
+            hat = _id_decode_batch(cfg, cands, hh, y, p)
             err += int(np.sum(hat[:, 0] != ss[:, 0]) + np.sum(hat[:, 1] != ss[:, 1]))
             done += n
             chunk_idx += 1

@@ -64,10 +64,16 @@ class PamConstellation:
         return rng.choice(self.points, size=size)
 
     def nearest(self, x) -> np.ndarray:
-        """Nearest alphabet point(s) to ``x`` (ties resolve to the lower point)."""
-        pts = self.points
-        idx = np.abs(np.asarray(x)[..., None] - pts).argmin(axis=-1)
-        return pts[idx]
+        """Nearest alphabet point(s) to ``x`` (ties resolve to the lower point).
+
+        The nearest integer level with ties down is ceil(x / a_s - 0.5). It
+        is clipped to [1, q_s] for x > 0 and to [-q_s, -1] otherwise, which
+        maps level 0 to the nearer of +-1 (-1 at x = 0).
+        """
+        t = np.asarray(x, dtype=float) / self.a_s
+        level = np.ceil(t - 0.5)
+        level = np.where(t > 0, np.clip(level, 1, self.q_s), np.clip(level, -self.q_s, -1))
+        return self.a_s * level
 
 
 def build_constellation(a_s: float, q_s: int) -> PamConstellation:

@@ -278,6 +278,47 @@ class TestArgminMetric:
                 np.argmin(metric(y, h_pair, cands, *args), axis=1),
             )
 
+    @pytest.mark.parametrize(
+        "block_values,n", [(7 * 256 + 3, 100), (16 * 256, 1000), (7, 5), (1 << 20, 10), (1 << 15, 1), (1 << 20, 5000)]
+    )
+    def test_reused_buffers(self, monkeypatch, block_values, n):
+        """Every block writes into the same buffers: a partial last block into
+        their leading rows, and rows > n into buffers of n rows."""
+        monkeypatch.setattr(core, "BLOCK_VALUES", block_values)
+        rng = RNG(n)
+        p = 100.0
+        cands = core.candidate_pairs(model.constellation_for_power(p, 8))
+        h, _ = model.draw_channels(4, 4, n, rng)
+        h_pair = h[:, :2]
+        y = rng.normal(scale=np.sqrt(p), size=(n, 2))
+        ipow = p * np.sum(h[:, 2:] ** 2, axis=1)
+        beta = rng.normal(size=n)
+        rows = max(1, min(n, core.BLOCK_ROWS, block_values // len(cands)))
+        for metric, args in [
+            (core.weight_matrix, ()),
+            (core.ml_metric_matrix, (ipow, 1.0)),
+            (core.known_beta_metric_matrix, (beta,)),
+        ]:
+            outs = []
+
+            def recording(*a, out):
+                outs.append(out)
+                res = metric(*a, out=out)
+                assert res is out[0]
+                return res
+
+            np.testing.assert_array_equal(
+                core.argmin_metric(recording, y, h_pair, cands, *args),
+                np.argmin(metric(y, h_pair, cands, *args), axis=1),
+            )
+            assert len(outs) == -(-n // rows)
+            assert [len(o[0]) for o in outs] == [min(rows, n - lo) for lo in range(0, n, rows)]
+            for out in outs:
+                assert len(out) == core.METRIC_BUFFERS
+                for buf, first in zip(out, outs[0]):
+                    assert buf.shape[1] == len(cands)
+                    assert buf.__array_interface__["data"] == first.__array_interface__["data"]
+
 
 class TestDecodePair:
     def test_noiseless_recovery_random(self):
@@ -358,6 +399,17 @@ class TestMlDecodePair:
         cands = core.candidate_pairs(const)
         v = ch.h[None, :] * cands
         np.testing.assert_allclose(vals, np.sum((rp.y[None, :] - v) ** 2, axis=1), rtol=1e-12)
+
+    def test_zero_denominator_gives_no_correction(self):
+        """With no interferers and no noise the covariance is zero; the
+        correction is then 0, not 0/0, and the metric is ||y - v||^2."""
+        rng = RNG(39)
+        const = model.constellation_for_power(1.0, 2)
+        cands = core.candidate_pairs(const)
+        y, h_pair = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
+        vals = core.ml_metric_matrix(y, h_pair, cands, np.zeros(5), 0.0)
+        direct = np.sum((y[:, None, :] - h_pair[:, None, :] * cands) ** 2, axis=-1)
+        np.testing.assert_allclose(vals, direct, rtol=1e-12)
 
     def test_low_noise_agrees_with_weight_decoder(self):
         """As sigma2 -> 0 the likelihood metric orders like the weight."""

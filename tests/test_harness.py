@@ -7,7 +7,18 @@ import sys
 import numpy as np
 import pytest
 
-from idsim import cli, core, harness
+import idsim
+from idsim import cli, core, harness, model
+
+# The directory idsim was imported from, so that subprocesses run the same
+# code whether or not the package is installed.
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(idsim.__file__)))
+
+
+def subprocess_env(env):
+    """``env`` with PACKAGE_ROOT first on PYTHONPATH."""
+    path = os.pathsep.join(p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
+    return {**env, "PYTHONPATH": path}
 
 
 def small_cfg(**kw):
@@ -70,12 +81,14 @@ class TestSerSweep:
         cfg = small_cfg(zeta_db_grid=[10.0], trials=3 * harness.CHUNK // 2)
         row = [r for r in harness.run_ser_sweep(cfg) if r.scheme == "id_weight"][0]
         p = cfg.power_at(10.0)
+        const = model.constellation_for_power(p, cfg.q_s)
+        cands = core.candidate_pairs(const)
         sizes = [harness.CHUNK, cfg.trials - harness.CHUNK]
         errors = 0
         for chunk_idx in reversed(range(len(sizes))):
             rng = harness._rng(cfg, 0, chunk_idx)
-            const, h, g, s, beta, y = harness._id_frame_batch(cfg, p, sizes[chunk_idx], rng)
-            hat = harness._id_decode_batch(cfg, const, h, s, beta, y, p)
+            h, _, s, _, y = harness._id_frame_batch(cfg, const, sizes[chunk_idx], rng)
+            hat = harness._id_decode_batch(cfg, cands, h, y, p)
             errors += int(np.sum(hat[:, 0] != s[:, 0]) + np.sum(hat[:, 1] != s[:, 1]))
         assert errors / (2 * cfg.trials) == pytest.approx(row.ser, rel=1e-12)
 
@@ -179,6 +192,7 @@ class TestCliEndToEnd:
     def run_cli(self, *args):
         return subprocess.run(
             [sys.executable, "-m", "idsim.cli", *args],
+            env=subprocess_env(os.environ),
             capture_output=True,
             text=True,
             timeout=300,
@@ -227,6 +241,35 @@ class TestCliEndToEnd:
         assert cli.main(["dof", f"--snr-db={snr}", "--trials", "10"]) == 1
         assert "0 dB" in capsys.readouterr().err
 
+    def test_dof_default_grid_runs(self, tmp_path):
+        """dof's own default grid, 20:10:60 dB, lies above 0 dB."""
+        out = tmp_path / "dof.csv"
+        assert cli.main(["dof", "--trials", "20", "--out", str(out)]) == 0
+        lines = out.read_text().strip().split("\n")
+        assert len(lines) == 1 + 5
+        fields = [f for line in lines[1:] for f in line.split(",")[2:] if f]
+        assert np.all(np.isfinite([float(f) for f in fields]))
+        assert [float(line.split(",")[2]) for line in lines[1:]] == [20.0, 30.0, 40.0, 50.0, 60.0]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("ser", "--k", "4", "--qs", "4", "--decoder", "ml"),
+            ("ser", "--k", "2", "--qs", "4", "--decoder", "ml"),
+            ("multicast", "--qs", "4"),
+        ],
+    )
+    def test_csv_independent_of_block_size(self, args, tmp_path, monkeypatch):
+        """Blocked decoding gives the same bytes whatever the block size:
+        one row per block, partial last blocks, and the default."""
+        texts = []
+        for block_values in (7, 1000, core.BLOCK_VALUES):
+            monkeypatch.setattr(core, "BLOCK_VALUES", block_values)
+            out = tmp_path / f"block{block_values}.csv"
+            assert cli.main([*args, "--snr-db", "0:10:30", "--trials", "700", "--out", str(out)]) == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1] == texts[2]
+
     def test_unknown_subcommand_exits_nonzero(self):
         res = self.run_cli("frobnicate")
         assert res.returncode != 0
@@ -246,7 +289,7 @@ class TestBlasThreads:
         base = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
         res = subprocess.run(
             [sys.executable, "-c", "import os, idsim; print(os.environ.get('OMP_NUM_THREADS'))"],
-            env={**base, **env},
+            env=subprocess_env({**base, **env}),
             capture_output=True,
             text=True,
             timeout=60,

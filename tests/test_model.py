@@ -55,6 +55,35 @@ class TestPamConstellation:
         got = const.nearest(np.array([0.4, -5.0]))
         np.testing.assert_array_equal(got, [1.0, -2.0])
 
+    @staticmethod
+    def nearest_by_argmin(const, x):
+        """Reference: the alphabet point at the smallest |x - point|, the lower on a tie."""
+        pts = const.points
+        return pts[np.abs(np.asarray(x)[..., None] - pts).argmin(axis=-1)]
+
+    @pytest.mark.parametrize("a_s", [1.0, 0.5, 0.37, 3.1e-3, 41.0])
+    @pytest.mark.parametrize("q_s", [1, 2, 8, 32])
+    def test_nearest_matches_argmin_on_random_inputs(self, a_s, q_s):
+        const = model.build_constellation(a_s, q_s)
+        x = np.random.default_rng([q_s, 7]).normal(scale=1.5 * a_s * q_s, size=4000)
+        x[:2] = [0.0, -0.0]
+        got = const.nearest(x)
+        np.testing.assert_array_equal(got, self.nearest_by_argmin(const, x))
+        assert np.isin(got, const.points).all()
+
+    @pytest.mark.parametrize("a_s", [1.0, 0.5])
+    @pytest.mark.parametrize("q_s", [1, 2, 8])
+    def test_nearest_ties_match_argmin_at_midpoints(self, a_s, q_s):
+        """Every multiple of a_s / 2 out to q_s + 1/2, which holds each midpoint
+        between neighbours and 0 between -1 and +1: ties go to the lower point."""
+        const = model.build_constellation(a_s, q_s)
+        mids = a_s * np.arange(-2 * q_s - 1, 2 * q_s + 2) / 2.0
+        got = const.nearest(mids)
+        np.testing.assert_array_equal(got, self.nearest_by_argmin(const, mids))
+        np.testing.assert_array_equal(got[mids == 0.0], [-a_s])
+        for m in mids:
+            assert const.nearest(m) == self.nearest_by_argmin(const, m)
+
 
 class TestAmplitudeForPower:
     def test_unit_power_antipodal(self):
