@@ -24,16 +24,18 @@ block = core.SymbolBlock.draw(const, K, rng)
 print(f"\n{K} symbols:", np.round(block.s, 3))
 print("channel gains:", np.round(ch.h, 3))
 
-plan = core.plan_frame(block, ch)
-print("\nDissolution factors per pair:", np.round(plan.beta, 4))
-print("Realized power per channel use:", np.round(plan.use_powers, 2))
+pairs = [core.pair_members(K, m) for m in range(1, core.num_pairs(K) + 1)]
+beta = np.array([core.dissolution_factor(block, ch, m) for m in range(1, len(pairs) + 1)])
+powers = [np.sum(block.s**2)] + [core.second_use_power(beta[i], block.s[[a, b]]) for i, (a, b) in enumerate(pairs)]
+print("\nDissolution factors per pair:", np.round(beta, 4))
+print("Realized power per channel use:", np.round(powers, 2))
 print("(the second uses are not re-normalized; the factor inflates them)")
 
 # The first observation is a plain superposition; every pair reuses it.
 y1 = core.first_use_signal(block, ch)
 for m in range(1, core.num_pairs(K) + 1):
     a, b = core.pair_members(K, m)
-    lhs = ch.h[a] * block.s[a] + plan.beta[m - 1] * ch.h[b] * block.s[b]
+    lhs = ch.h[a] * block.s[a] + beta[m - 1] * ch.h[b] * block.s[b]
     print(f"pair {m}: h_a s_a + beta h_b s_b = {lhs:+.6f}  vs  y1 = {y1:+.6f}")
 
 # Decode pair 1 in noise and show the weight landscape.

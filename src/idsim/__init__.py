@@ -6,7 +6,7 @@ more observation: interference is dissolved into the pair's own direction's
 orthogonal complement. Modules:
 
 - ``model``: constellations, Rayleigh channel draws, noise, power budgets
-- ``core``: precoding, the weight decoder, and likelihood oracles
+- ``core``: the dissolution signal model, the weight decoder, and likelihood oracles
 - ``baselines``: transmit-MRC MISO and successive decoding references
 - ``analysis``: closed-form rates, bounds, distance and DoF probers
 - ``multicast``: the three-user, three-symbols-in-two-uses application
@@ -44,17 +44,16 @@ from .analysis import (
 from .baselines import BaselineConfig, mrc_transmit_decode, successive_transmit_decode
 from .core import (
     DecodeResult,
-    FramePlan,
     ReceivedPair,
     SymbolBlock,
     channel_uses,
     decode_pair,
     dissolution_factor,
+    dissolve,
     first_use_signal,
     frame_symbols,
     ml_decode_pair,
     ml_decode_pair_known_beta,
-    plan_frame,
     transmit_and_decode_all,
     transmit_frame,
     transmit_pair,
@@ -67,14 +66,13 @@ from .model import (
     PamConstellation,
     PowerBudget,
     amplitude_for_power,
-    awgn,
-    build_constellation,
     constellation_for_power,
     draw_channel,
 )
 from .multicast import (
     ALPHA_DEFAULT,
     MulticastFrame,
+    multicast_decode,
     multicast_decode_s3,
     multicast_receive_decode,
     multicast_transmit,

@@ -20,31 +20,27 @@ from . import core
 from .model import ChannelRealization, PamConstellation, constellation_for_power, _signed_rayleigh
 
 
-def capacity_miso(g: np.ndarray, p_s: float, sigma2: float) -> float:
-    """MISO capacity 1/2 log2(1 + p_s * sum g^2 / sigma2)."""
+def capacity_miso(g: np.ndarray, p_s: float, sigma2: float):
+    """MISO capacity 1/2 log2(1 + p_s * sum g^2 / sigma2); g may be (..., N)."""
     if p_s <= 0 or sigma2 <= 0:
         raise ValueError("power and noise variance must be positive")
     g = np.asarray(g, dtype=float)
-    return float(0.5 * np.log2(1.0 + p_s * np.sum(g**2) / sigma2))
+    return 0.5 * np.log2(1.0 + p_s * np.sum(g**2, axis=-1) / sigma2)
 
 
-def _pair_exclusion_sum(h: np.ndarray, m: int) -> float:
-    a, b = core.pair_members(h.shape[-1], m)
-    mask = np.ones(h.shape[-1], dtype=bool)
-    mask[[a, b]] = False
-    return float(np.sum(h[mask] ** 2))
+def rate_pair_gaussian(ch: ChannelRealization, p: float, sigma2: float, m: int):
+    """Gaussian-input rate of pair m over (y_1, y_{m+1}), in bits per two uses.
 
-
-def rate_pair_gaussian(ch: ChannelRealization, p: float, sigma2: float, m: int) -> float:
-    """Gaussian-input rate of pair m over (y_1, y_{m+1}), in bits per two uses."""
-    s_all = float(np.sum(ch.h**2))
-    s_excl = _pair_exclusion_sum(ch.h, m)
+    ``ch.h`` may hold a batch of channels, (..., K); the result is (...,).
+    """
+    s_all = np.sum(ch.h**2, axis=-1)
+    s_excl = core.out_of_pair_sum(ch.h**2, m)
     first = 0.5 * np.log2(1.0 + p * s_all / sigma2)
     second = 0.5 * np.log2((sigma2 + p * s_all) / (2.0 * p * s_excl + sigma2))
-    return float(first + second)
+    return first + second
 
 
-def rate_total(ch: ChannelRealization, p: float, sigma2: float, k: int | None = None) -> float:
+def rate_total(ch: ChannelRealization, p: float, sigma2: float, k: int | None = None):
     """Overall rate per channel use: the pair rates split over ceil(K/2)+1 uses."""
     if k is None:
         k = ch.k
@@ -52,7 +48,7 @@ def rate_total(ch: ChannelRealization, p: float, sigma2: float, k: int | None = 
         raise ValueError(f"k={k} does not match the channel's {ch.k} gains")
     pairs = core.num_pairs(k)
     total = sum(rate_pair_gaussian(ch, p, sigma2, m) for m in range(1, pairs + 1))
-    return float(total / (pairs + 1))
+    return total / (pairs + 1)
 
 
 def capacity_gap_check(ch: ChannelRealization, p: float, sigma2: float, k: int | None = None):
@@ -101,12 +97,8 @@ def dmin_exhaustive(
     v = h * (s_a, s_b); the returned value is min over candidates != s_true
     of (|<y - v(cand), v(cand)>| / ||v(cand)||)^2.
     """
-    sa, sb = s_true
-    y = np.array([h * sa + beta * h * sb, h * sb - beta * h * sa])
-    cands = core.candidate_pairs(const)
-    w = core.weight_matrix(y, np.array([h, h]), cands)
-    not_true = ~((cands[:, 0] == sa) & (cands[:, 1] == sb))
-    return float(np.min(w[not_true]) ** 2)
+    interference = (beta - 1.0) * h * s_true[1]
+    return float(dmin_batch(np.array([s_true]), np.array([interference]), np.array([h]), const)[0])
 
 
 @dataclass
@@ -126,15 +118,14 @@ class DminReport:
         return float(np.median(self.dmin2_scaled))
 
 
-def dmin_batch(s_true: np.ndarray, beta: np.ndarray, h: np.ndarray, const: PamConstellation) -> np.ndarray:
-    """Vectorized ``dmin_exhaustive``: (n, 2) pairs, (n,) betas and gains."""
-    s_true = np.atleast_2d(s_true)
-    y = np.stack(
-        [h * (s_true[:, 0] + beta * s_true[:, 1]), h * (s_true[:, 1] - beta * s_true[:, 0])],
-        axis=-1,
-    )
-    cands = core.candidate_pairs(const)
+def dmin_batch(s_true: np.ndarray, interference: np.ndarray, h: np.ndarray, const: PamConstellation) -> np.ndarray:
+    """Squared minimum weights of (n, 2) true pairs on common gains h (n,).
+
+    ``interference`` (n,) is each pair's out-of-pair sum, which sets beta.
+    """
     h_pair = np.stack([h, h], axis=-1)
+    _, y = core.dissolve(h_pair, s_true, interference)
+    cands = core.candidate_pairs(const)
     w = core.weight_matrix(y, h_pair, cands)
     is_true = (cands[None, :, 0] == s_true[:, 0:1]) & (cands[None, :, 1] == s_true[:, 1:2])
     return np.min(np.where(is_true, np.inf, w), axis=1) ** 2
@@ -151,8 +142,10 @@ def dmin_probe(
     """Sample the scaled minimum distance over random channels and symbols.
 
     The intended pair rides a common gain; interferers keep independent
-    gains so the dissolution factor stays generic.
+    gains so the dissolution factor stays generic, which needs K >= 3.
     """
+    if k < 3:
+        raise ValueError(f"dmin needs k >= 3: with k={k} beta = 1 and the common-gain pair has a zero-weight ghost")
     const = constellation_for_power(p, q_s)
     scaled = np.empty(draws)
     done = 0
@@ -161,8 +154,7 @@ def dmin_probe(
         h = _signed_rayleigh(rng, n)
         g_int = _signed_rayleigh(rng, (n, k - 2))
         s = const.draw(rng, size=(n, k))
-        beta = 1.0 + np.sum(g_int * s[:, 2:], axis=1) / (h * s[:, 1])
-        d2 = dmin_batch(s[:, :2], beta, h, const)
+        d2 = dmin_batch(s[:, :2], np.sum(g_int * s[:, 2:], axis=1), h, const)
         scaled[done : done + n] = d2 * q_s**2 / (h**2 * const.a_s**2)
         done += n
     return DminReport(q_s=q_s, samples=draws, dmin2_scaled=scaled)
@@ -251,11 +243,7 @@ def _pair_error_rate(
     while done < trials:
         n = min(chunk, trials - done)
         s = const.draw(rng, size=(n, 2 + g_int.shape[0]))
-        interference = s[:, 2:] @ g_int
-        beta = 1.0 + interference / (h_common * s[:, 1])
-        y = np.empty((n, 2))
-        y[:, 0] = h_common * s[:, 0] + beta * h_common * s[:, 1]
-        y[:, 1] = h_common * s[:, 1] - beta * h_common * s[:, 0]
+        _, y = core.dissolve(h_pair, s[:, :2], s[:, 2:] @ g_int)
         y += rng.normal(0.0, np.sqrt(sigma2), size=(n, 2))
         hat = cands[core.argmin_metric(core.weight_matrix, y, np.broadcast_to(h_pair, (n, 2)), cands)]
         errors += int(np.sum((hat[:, 0] != s[:, 0]) | (hat[:, 1] != s[:, 1])))
@@ -300,7 +288,7 @@ def cov_conditional(
     determinant equals the expectation convention sigma2 (2 P S_m + sigma2)
     used by the closed-form rate.
     """
-    s_excl = p * _pair_exclusion_sum(ch.h, m)
+    s_excl = p * core.out_of_pair_sum(ch.h**2, m)
     return np.array(
         [
             [s_excl + sigma2, -ratio * s_excl],

@@ -38,49 +38,58 @@ def parse_snr_grid(text: str) -> np.ndarray:
     return grid
 
 
-def _add_common(sub: argparse.ArgumentParser, snr_db: str) -> None:
-    sub.add_argument("--k", type=int, default=2, help="number of symbols per frame")
-    sub.add_argument("--qs", type=int, default=2, help="constellation half-size")
-    sub.add_argument("--snr-db", default=snr_db, help="zeta grid in dB, start:step:stop (default: %(default)s)")
+# Each subcommand takes only the options its experiment reads, besides
+# --trials, --seed, --out and --emit-plot-data: option -> default. dof needs
+# every power above 0 dB, so its grid starts higher; dmin needs interferers,
+# so its frame has four symbols.
+_SUBCOMMANDS = {
+    "ser": ("symbol-error-rate sweep: ID vs MRC MISO vs successive decoding",
+            {"k": 2, "qs": 2, "snr_db": "0:2:30", "decoder": "weight"}),
+    "rate": ("normalized achievable-rate sweep with floor and Fano curves",
+             {"k": 2, "qs": 2, "snr_db": "0:2:30", "decoder": "weight"}),
+    "dmin": ("scaled minimum-distance probe over doubling constellation sizes", {"k": 4, "qs": 2}),
+    "dof": ("degrees-of-freedom sweep with power-scaled constellations",
+            {"k": 2, "snr_db": "20:10:60", "epsilon": 0.1}),
+    "multicast": ("three-user multicast SER sweep", {"qs": 2, "snr_db": "0:2:30"}),
+}
+# Option dest -> ExperimentConfig field.
+_CONFIG_FIELDS = {"k": "k", "qs": "q_s", "decoder": "decoder", "epsilon": "epsilon",
+                  "trials": "trials", "seed": "seed", "out": "output_path", "emit_plot_data": "emit_plot_data"}
+
+
+def _add_options(sub: argparse.ArgumentParser, defaults: dict) -> None:
+    if "k" in defaults:
+        sub.add_argument("--k", type=int, default=defaults["k"], help="number of symbols per frame (default: %(default)s)")
+    if "qs" in defaults:
+        sub.add_argument("--qs", type=int, default=defaults["qs"], help="constellation half-size")
+    if "snr_db" in defaults:
+        sub.add_argument("--snr-db", default=defaults["snr_db"], help="zeta grid in dB, start:step:stop (default: %(default)s)")
     sub.add_argument("--trials", type=int, default=100_000, help="Monte Carlo trials per grid point")
     sub.add_argument("--seed", type=int, default=harness.DEFAULT_SEED, help="master seed")
-    sub.add_argument("--decoder", choices=["weight", "ml"], default="weight")
+    if "decoder" in defaults:
+        sub.add_argument("--decoder", choices=["weight", "ml"], default=defaults["decoder"])
     sub.add_argument("--out", default=None, help="output CSV path (default: stdout)")
     sub.add_argument("--emit-plot-data", action="store_true", help="add normalized plot columns")
-    sub.add_argument("--epsilon", type=float, default=0.1, help="constellation growth slack (dof)")
+    if "epsilon" in defaults:
+        sub.add_argument("--epsilon", type=float, default=defaults["epsilon"], help="constellation growth slack")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="idsim", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="experiment", required=True)
-    # dof needs every power above 0 dB, so its grid starts higher.
-    for name, descr, snr_db in [
-        ("ser", "symbol-error-rate sweep: ID vs MRC MISO vs successive decoding", "0:2:30"),
-        ("rate", "normalized achievable-rate sweep with floor and Fano curves", "0:2:30"),
-        ("dmin", "scaled minimum-distance probe over doubling constellation sizes", "0:2:30"),
-        ("dof", "degrees-of-freedom sweep with power-scaled constellations", "20:10:60"),
-        ("multicast", "three-user multicast SER sweep", "0:2:30"),
-    ]:
-        _add_common(subs.add_parser(name, help=descr), snr_db)
+    for name, (descr, defaults) in _SUBCOMMANDS.items():
+        _add_options(subs.add_parser(name, help=descr), defaults)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    opts = vars(build_parser().parse_args(argv))
     try:
-        cfg = harness.ExperimentConfig(
-            experiment=args.experiment,
-            k=args.k,
-            q_s=args.qs,
-            zeta_db_grid=parse_snr_grid(args.snr_db),
-            trials=args.trials,
-            seed=args.seed,
-            decoder=args.decoder,
-            output_path=args.out,
-            emit_plot_data=args.emit_plot_data,
-            epsilon=args.epsilon,
-        )
+        fields = {field: opts[dest] for dest, field in _CONFIG_FIELDS.items() if dest in opts}
+        if "snr_db" in opts:
+            fields["zeta_db_grid"] = parse_snr_grid(opts["snr_db"])
+        cfg = harness.ExperimentConfig(experiment=opts["experiment"], **fields)
         rows = harness.run_experiment(cfg)
         harness.write_csv(rows, cfg.output_path, cfg.emit_plot_data)
     except (ValueError, OSError) as exc:

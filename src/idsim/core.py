@@ -67,28 +67,6 @@ def pair_members(k: int, m: int) -> tuple[int, int]:
 
 
 @dataclass
-class FramePlan:
-    """Per-use transmit description: dissolution factors and amplitudes.
-
-    ``second_use_amps[m-1] = (-beta_m * s_a, s_b)`` are the amplitudes sent
-    via (h_a, h_b) in channel use m+1. Second-use power is not re-normalized;
-    ``use_powers`` exposes the realized cost.
-    """
-
-    beta: np.ndarray
-    pairs: list[tuple[int, int]]
-    first_use_amps: np.ndarray
-    second_use_amps: np.ndarray
-
-    @property
-    def use_powers(self) -> np.ndarray:
-        """Realized transmit power of each channel use."""
-        first = np.sum(self.first_use_amps**2)
-        rest = np.sum(self.second_use_amps**2, axis=1)
-        return np.concatenate([[first], rest])
-
-
-@dataclass
 class ReceivedPair:
     """The two observations used to decode pair m: (y_1, y_{m+1})."""
 
@@ -118,24 +96,58 @@ def first_use_signal(block: SymbolBlock, ch: ChannelRealization) -> float:
     return float(ch.h @ block.s)
 
 
+def out_of_pair_sum(x: np.ndarray, m: int) -> np.ndarray:
+    """Sum of ``x[..., k]`` over the symbols k outside pair m."""
+    k = x.shape[-1]
+    mask = np.ones(k, dtype=bool)
+    mask[list(pair_members(k, m))] = False
+    return np.sum(x[..., mask], axis=-1)
+
+
+def dissolve(h_pair: np.ndarray, s_pair: np.ndarray, interference) -> tuple[np.ndarray, np.ndarray]:
+    """Noiseless dissolution of a batch of pairs: the factor and both observations.
+
+    h_pair, s_pair: (..., 2) gains and symbols of the pair (a, b), broadcast
+    against each other; interference: (...,) out-of-pair sum I of h_k s_k.
+    Returns beta = 1 + I / (h_b s_b), shape (...,), and
+    y = [h_a s_a + h_b s_b + I, h_b s_b - beta h_a s_a], shape (..., 2).
+    """
+    h_a, h_b = h_pair[..., 0], h_pair[..., 1]
+    s_a, s_b = s_pair[..., 0], s_pair[..., 1]
+    v_a, v_b = h_a * s_a, h_b * s_b
+    if np.any(v_b == 0.0):
+        raise ValueError("dissolution divides by h_b * s_b = 0 (degenerate input)")
+    beta = 1.0 + interference / v_b
+    return beta, np.stack([v_a + v_b + interference, v_b - beta * h_a * s_a], axis=-1)
+
+
+def second_use_power(beta, s_pair: np.ndarray):
+    """Realized power of a pair's second use, beta^2 s_a^2 + s_b^2 (not re-normalized)."""
+    return beta**2 * s_pair[..., 0] ** 2 + s_pair[..., 1] ** 2
+
+
+def _dissolve_pairs(block: SymbolBlock, ch: ChannelRealization, ms) -> tuple[np.ndarray, np.ndarray]:
+    """``dissolve`` on pairs ``ms`` of one frame: beta (len(ms),), y (len(ms), 2)."""
+    if block.k != ch.k:
+        raise ValueError(f"block has {block.k} symbols but channel has {ch.k} gains")
+    idx = np.array([pair_members(block.k, m) for m in ms])
+    interference = np.array([out_of_pair_sum(ch.h * block.s, m) for m in ms])
+    return dissolve(ch.h[idx], block.s[idx], interference)
+
+
 def dissolution_factor(block: SymbolBlock, ch: ChannelRealization, m: int) -> float:
     """beta_m = 1 + (sum of out-of-pair h_k s_k) / (h_b s_b) for pair m."""
-    a, b = pair_members(block.k, m)
-    denom = ch.h[b] * block.s[b]
-    if denom == 0.0:
-        raise ValueError("dissolution divides by h_b * s_b = 0 (degenerate input)")
-    mask = np.ones(block.k, dtype=bool)
-    mask[[a, b]] = False
-    interference = float(ch.h[mask] @ block.s[mask])
-    return 1.0 + interference / denom
+    return float(_dissolve_pairs(block, ch, [m])[0][0])
 
 
-def plan_frame(block: SymbolBlock, ch: ChannelRealization) -> FramePlan:
-    """Compute all dissolution factors and per-use transmit amplitudes."""
-    pairs = [pair_members(block.k, m) for m in range(1, num_pairs(block.k) + 1)]
-    beta = np.array([dissolution_factor(block, ch, m) for m in range(1, num_pairs(block.k) + 1)])
-    second = np.array([[-beta[i] * block.s[a], block.s[b]] for i, (a, b) in enumerate(pairs)])
-    return FramePlan(beta=beta, pairs=pairs, first_use_amps=block.s.copy(), second_use_amps=second)
+def _add_noise(y: np.ndarray, noise: NoiseModel | None, rng: np.random.Generator | None) -> None:
+    """Add one noise sample to each entry of ``y``, in order, in place."""
+    if noise is None:
+        return
+    if rng is None:
+        raise ValueError("rng is required when noise is present")
+    for i in range(len(y)):
+        y[i] += noise.sample(rng)
 
 
 def transmit_pair(
@@ -146,16 +158,9 @@ def transmit_pair(
     rng: np.random.Generator | None = None,
 ) -> ReceivedPair:
     """Received (y_1, y_{m+1}) for pair m; ``noise=None`` gives the noiseless pair."""
-    a, b = pair_members(block.k, m)
-    beta = dissolution_factor(block, ch, m)
-    y1 = first_use_signal(block, ch)
-    ym = ch.h[b] * block.s[b] - beta * ch.h[a] * block.s[a]
-    if noise is not None:
-        if rng is None:
-            raise ValueError("rng is required when noise is present")
-        y1 += noise.sample(rng)
-        ym += noise.sample(rng)
-    return ReceivedPair(y1=float(y1), ym=float(ym), pair_index=m)
+    y = _dissolve_pairs(block, ch, [m])[1][0]
+    _add_noise(y, noise, rng)
+    return ReceivedPair(y1=float(y[0]), ym=float(y[1]), pair_index=m)
 
 
 def candidate_pairs(const: PamConstellation) -> np.ndarray:
@@ -292,25 +297,28 @@ def argmin_metric(metric, y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, 
     return idx
 
 
-def _interference_power(ch: ChannelRealization, m: int, p: float) -> float:
-    a, b = pair_members(ch.k, m)
-    mask = np.ones(ch.k, dtype=bool)
-    mask[[a, b]] = False
-    return p * float(np.sum(ch.h[mask] ** 2))
-
-
 def weight(rp: ReceivedPair, cand: tuple[float, float], ch: ChannelRealization, m: int) -> float:
     """Weight component of one candidate pair: |<y - v, v>| / ||v||."""
     a, b = pair_members(ch.k, m)
-    h_pair = np.array([ch.h[a], ch.h[b]])
-    return float(weight_matrix(rp.y, h_pair, np.asarray(cand, dtype=float)[None, :])[0])
+    return float(weight_matrix(rp.y, ch.h[[a, b]], np.asarray(cand, dtype=float)[None, :])[0])
+
+
+def _metric_values(metric, rp: ReceivedPair, ch: ChannelRealization, m: int, const: PamConstellation, *args):
+    a, b = pair_members(ch.k, m)
+    return metric(rp.y, ch.h[[a, b]], candidate_pairs(const), *args)
+
+
+def _decode(decoder: str, metric, rp, ch, m, const, *args) -> DecodeResult:
+    """Exhaustive decoding of pair m by ``metric``; ties resolve to the first candidate."""
+    vals = _metric_values(metric, rp, ch, m, const, *args)
+    idx = int(np.argmin(vals))
+    s_a, s_b = candidate_pairs(const)[idx]
+    return DecodeResult(pair=(s_a, s_b), weight_min=float(vals[idx]), decoder=decoder, pair_index=m)
 
 
 def weight_values(rp: ReceivedPair, ch: ChannelRealization, m: int, const: PamConstellation) -> np.ndarray:
     """Weights of all candidates, in candidate enumeration order."""
-    a, b = pair_members(ch.k, m)
-    h_pair = np.array([ch.h[a], ch.h[b]])
-    return weight_matrix(rp.y, h_pair, candidate_pairs(const))
+    return _metric_values(weight_matrix, rp, ch, m, const)
 
 
 def ml_decision_values(
@@ -322,18 +330,12 @@ def ml_decision_values(
     sigma2: float,
 ) -> np.ndarray:
     """Likelihood metrics of all candidates, in candidate enumeration order."""
-    a, b = pair_members(ch.k, m)
-    h_pair = np.array([ch.h[a], ch.h[b]])
-    ipow = np.asarray(_interference_power(ch, m, p))
-    return ml_metric_matrix(rp.y, h_pair, candidate_pairs(const), ipow, sigma2)
+    return _metric_values(ml_metric_matrix, rp, ch, m, const, p * out_of_pair_sum(ch.h**2, m), sigma2)
 
 
 def decode_pair(rp: ReceivedPair, ch: ChannelRealization, m: int, const: PamConstellation) -> DecodeResult:
     """Exhaustive weight decoding; ties resolve to the first candidate."""
-    w = weight_values(rp, ch, m, const)
-    idx = int(np.argmin(w))
-    cand = candidate_pairs(const)[idx]
-    return DecodeResult(pair=(cand[0], cand[1]), weight_min=float(w[idx]), decoder=WEIGHT, pair_index=m)
+    return _decode(WEIGHT, weight_matrix, rp, ch, m, const)
 
 
 def ml_decode_pair(
@@ -349,10 +351,7 @@ def ml_decode_pair(
     Interference symbols are modeled as uniform over the alphabet, hence
     zero mean and per-symbol power ``p``.
     """
-    vals = ml_decision_values(rp, ch, m, const, p, sigma2)
-    idx = int(np.argmin(vals))
-    cand = candidate_pairs(const)[idx]
-    return DecodeResult(pair=(cand[0], cand[1]), weight_min=float(vals[idx]), decoder=ML, pair_index=m)
+    return _decode(ML, ml_metric_matrix, rp, ch, m, const, p * out_of_pair_sum(ch.h**2, m), sigma2)
 
 
 def ml_decode_pair_known_beta(
@@ -370,12 +369,7 @@ def ml_decode_pair_known_beta(
     this the true optimum there; the weight rule instead stays blind to
     beta and pays for it.
     """
-    a, b = pair_members(ch.k, m)
-    h_pair = np.array([ch.h[a], ch.h[b]])
-    cands = candidate_pairs(const)
-    d2 = known_beta_metric_matrix(rp.y, h_pair, cands, beta)
-    idx = int(np.argmin(d2))
-    return DecodeResult(pair=(cands[idx, 0], cands[idx, 1]), weight_min=float(d2[idx]), decoder=ML, pair_index=m)
+    return _decode(ML, known_beta_metric_matrix, rp, ch, m, const, beta)
 
 
 def transmit_frame(
@@ -384,20 +378,15 @@ def transmit_frame(
     noise: NoiseModel | None = None,
     rng: np.random.Generator | None = None,
 ) -> list[ReceivedPair]:
-    """All received pairs of one frame; the first observation is shared."""
-    plan = plan_frame(block, ch)
-    y1 = first_use_signal(block, ch)
-    if noise is not None:
-        if rng is None:
-            raise ValueError("rng is required when noise is present")
-        y1 += noise.sample(rng)
-    out = []
-    for i, (a, b) in enumerate(plan.pairs):
-        ym = ch.h[a] * plan.second_use_amps[i, 0] + ch.h[b] * plan.second_use_amps[i, 1]
-        if noise is not None:
-            ym += noise.sample(rng)
-        out.append(ReceivedPair(y1=float(y1), ym=float(ym), pair_index=i + 1))
-    return out
+    """All received pairs of one frame; the first observation is shared.
+
+    The shared first use is pair 1's. Noise is drawn for it first, then for
+    each pair's second use in pair order.
+    """
+    y = _dissolve_pairs(block, ch, range(1, num_pairs(block.k) + 1))[1]
+    uses = np.concatenate([y[:1, 0], y[:, 1]])
+    _add_noise(uses, noise, rng)
+    return [ReceivedPair(y1=float(uses[0]), ym=float(ym), pair_index=m) for m, ym in enumerate(uses[1:], 1)]
 
 
 def transmit_and_decode_all(

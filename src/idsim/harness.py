@@ -105,13 +105,9 @@ def _id_frame_batch(cfg, const, n, rng):
     """One chunk of frames: channel, symbols, and pair-1 observations."""
     h, g = model.draw_channels(cfg.k, cfg.n_antennas, n, rng)
     s = const.draw(rng, size=(n, cfg.k))
-    mask = np.ones(cfg.k, dtype=bool)
-    mask[[0, 1]] = False
-    interference = np.sum(h[:, mask] * s[:, mask], axis=1)
-    beta = 1.0 + interference / (h[:, 1] * s[:, 1])
-    y = np.empty((n, 2))
-    y[:, 0] = np.sum(h * s, axis=1) + rng.normal(0.0, np.sqrt(cfg.sigma2), n)
-    y[:, 1] = h[:, 1] * s[:, 1] - beta * h[:, 0] * s[:, 0] + rng.normal(0.0, np.sqrt(cfg.sigma2), n)
+    beta, y = core.dissolve(h[:, :2], s[:, :2], core.out_of_pair_sum(h * s, 1))
+    y[:, 0] += rng.normal(0.0, np.sqrt(cfg.sigma2), n)
+    y[:, 1] += rng.normal(0.0, np.sqrt(cfg.sigma2), n)
     return h, g, s, beta, y
 
 
@@ -124,9 +120,7 @@ def _id_decode_batch(cfg, cands, h, y, p):
         # beta is deterministically 1 without interferers: exact ML.
         idx = core.argmin_metric(core.known_beta_metric_matrix, y, h_pair, cands, 1.0)
     else:
-        mask = np.ones(cfg.k, dtype=bool)
-        mask[[0, 1]] = False
-        ipow = p * np.sum(h[:, mask] ** 2, axis=1)
+        ipow = p * core.out_of_pair_sum(h**2, 1)
         idx = core.argmin_metric(core.ml_metric_matrix, y, h_pair, cands, ipow, cfg.sigma2)
     return cands[idx]
 
@@ -152,7 +146,7 @@ def run_ser_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
             hat = _id_decode_batch(cfg, cands, h, y, p)
             err[id_scheme] += int(np.sum(hat[:, 0] != s[:, 0]) + np.sum(hat[:, 1] != s[:, 1]))
             denom[id_scheme] += 2 * n
-            power2 += float(np.sum(beta**2 * s[:, 0] ** 2 + s[:, 1] ** 2))
+            power2 += float(np.sum(core.second_use_power(beta, s)))
 
             sm = const2p.draw(rng, size=n)
             gn = np.sqrt(np.sum(g**2, axis=1))
@@ -192,19 +186,9 @@ def run_rate_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     for zi, zdb in enumerate(cfg.zeta_db_grid):
         p = cfg.power_at(zdb)
         rng = _rng(cfg, zi, 0)
-        h, g = model.draw_channels(cfg.k, cfg.n_antennas, cfg.trials, rng)
-        s_all = np.sum(h**2, axis=1)
-        c = 0.5 * np.log2(1.0 + 2.0 * p * np.sum(g**2, axis=1) / cfg.sigma2)
-        pairs = core.num_pairs(cfg.k)
-        r_tot = np.zeros(cfg.trials)
-        first = 0.5 * np.log2(1.0 + p * s_all / cfg.sigma2)
-        for m in range(1, pairs + 1):
-            a, b = core.pair_members(cfg.k, m)
-            s_excl = s_all - h[:, a] ** 2 - h[:, b] ** 2
-            r_tot += first + 0.5 * np.log2((cfg.sigma2 + p * s_all) / (2.0 * p * s_excl + cfg.sigma2))
-        r_tot /= pairs + 1
-        c_mean = float(np.mean(c))
-        r_mean = float(np.mean(r_tot))
+        ch = model.ChannelRealization(*model.draw_channels(cfg.k, cfg.n_antennas, cfg.trials, rng))
+        c_mean = float(np.mean(analysis.capacity_miso(ch.g, 2.0 * p, cfg.sigma2)))
+        r_mean = float(np.mean(analysis.rate_total(ch, p, cfg.sigma2)))
 
         const = model.constellation_for_power(p, cfg.q_s)
         cands = core.candidate_pairs(const)
@@ -277,7 +261,6 @@ def run_multicast(cfg: ExperimentConfig) -> list[SweepRow]:
     for zi, zdb in enumerate(cfg.zeta_db_grid):
         p = cfg.power_at(zdb)
         const = model.constellation_for_power(p, cfg.q_s)
-        cands = core.candidate_pairs(const)
         err = np.zeros(3, dtype=int)
         done = 0
         chunk_idx = 0
@@ -286,23 +269,11 @@ def run_multicast(cfg: ExperimentConfig) -> list[SweepRow]:
             rng = _rng(cfg, zi, chunk_idx)
             gains = model._signed_rayleigh(rng, (n, 3))
             s = const.draw(rng, size=(n, 3))
-            beta = 1.0 + multicast.ALPHA_DEFAULT * s[:, 2] / s[:, 1]
-            x1 = s[:, 0] + s[:, 1] + multicast.ALPHA_DEFAULT * s[:, 2]
-            x2 = s[:, 1] - beta * s[:, 0]
+            _, x = multicast.multicast_precode(s)
             for u in range(3):
-                hu = gains[:, u]
-                y = np.stack([hu * x1, hu * x2], axis=-1)
-                y += rng.normal(0.0, np.sqrt(cfg.sigma2), size=(n, 2))
-                hp = np.stack([hu, hu], axis=-1)
-                hat = cands[core.argmin_metric(core.weight_matrix, y, hp, cands)]
-                if u == 0:
-                    err[0] += int(np.sum(hat[:, 0] != s[:, 0]))
-                elif u == 1:
-                    err[1] += int(np.sum(hat[:, 1] != s[:, 1]))
-                else:
-                    resid = y[:, 0] - hu * (hat[:, 0] + hat[:, 1])
-                    s3_hat = const.nearest(resid / (multicast.ALPHA_DEFAULT * hu))
-                    err[2] += int(np.sum(s3_hat != s[:, 2]))
+                y = multicast.multicast_observe(x, gains[:, u], cfg.sigma2, rng)
+                s_hat = multicast.multicast_decode(y, gains[:, u], const)
+                err[u] += int(np.sum(s_hat[:, u] != s[:, u]))
             done += n
             chunk_idx += 1
         for u in range(3):

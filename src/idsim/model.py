@@ -76,11 +76,6 @@ class PamConstellation:
         return self.a_s * level
 
 
-def build_constellation(a_s: float, q_s: int) -> PamConstellation:
-    """Build the alphabet with amplitude step ``a_s`` and half-size ``q_s``."""
-    return PamConstellation(a_s=a_s, q_s=q_s)
-
-
 def amplitude_for_power(p: float, q_s: int) -> float:
     """Amplitude step so that the alphabet's average power is exactly ``p``.
 
@@ -183,11 +178,6 @@ class NoiseModel:
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
         return rng.normal(0.0, np.sqrt(self.sigma2), size=size)
-
-
-def awgn(sigma2: float, rng: np.random.Generator, size=None) -> np.ndarray:
-    """Zero-mean Gaussian sample(s) with variance ``sigma2``."""
-    return NoiseModel(sigma2).sample(rng, size=size)
 
 
 @dataclass

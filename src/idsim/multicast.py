@@ -18,7 +18,7 @@ import numpy as np
 
 from . import core
 from .analysis import fano_rate_lower_bound
-from .model import NoiseModel, PamConstellation, _signed_rayleigh, constellation_for_power
+from .model import PamConstellation, constellation_for_power
 
 ALPHA_DEFAULT = float(np.sqrt(3.0) / 2.0)
 
@@ -35,12 +35,52 @@ class MulticastFrame:
     x2: float
 
 
+def multicast_precode(s: np.ndarray, alpha: float = ALPHA_DEFAULT) -> tuple[np.ndarray, np.ndarray]:
+    """Precode frames s = (..., 3) into beta (...,) and the two sent signals (..., 2).
+
+    All three symbols leave one antenna, so this is ``core.dissolve`` at unit
+    gains with alpha*s3 as the interference: x = (s1 + s2 + alpha*s3, s2 - beta*s1).
+    """
+    return core.dissolve(np.ones(2), s[..., :2], alpha * s[..., 2])
+
+
 def multicast_transmit(s1: float, s2: float, s3: float, alpha: float = ALPHA_DEFAULT) -> MulticastFrame:
     """Precode (s1, s2, s3) into the two channel uses."""
-    if s2 == 0.0:
-        raise ValueError("s2 must be nonzero (zero is excluded from the alphabet)")
-    beta = 1.0 + alpha * s3 / s2
-    return MulticastFrame(alpha=alpha, beta=beta, x1=s1 + s2 + alpha * s3, x2=s2 - beta * s1)
+    beta, x = multicast_precode(np.array([s1, s2, s3], dtype=float), alpha)
+    return MulticastFrame(alpha=alpha, beta=float(beta), x1=float(x[0]), x2=float(x[1]))
+
+
+def multicast_observe(
+    x: np.ndarray, h: np.ndarray, sigma2: float | None, rng: np.random.Generator | None = None
+) -> np.ndarray:
+    """Observations h * x + noise of users with gains h (...,) of frames x (..., 2).
+
+    The noise is drawn in one call of the observations' shape.
+    """
+    y = np.asarray(h)[..., None] * x
+    if sigma2 is not None:
+        if rng is None:
+            raise ValueError("rng is required when noise is present")
+        y += rng.normal(0.0, np.sqrt(sigma2), size=y.shape)
+    return y
+
+
+def multicast_decode(
+    y: np.ndarray,
+    h: np.ndarray,
+    const: PamConstellation,
+    s3_const: PamConstellation | None = None,
+    alpha: float = ALPHA_DEFAULT,
+) -> np.ndarray:
+    """Estimates (n, 3) of (s1, s2, s3) from observations y (n, 2) on gains h (n,).
+
+    The pair is decoded with the weight rule over ``const``; s3 is read from
+    the first-use residual over ``s3_const`` (default ``const``).
+    """
+    cands = core.candidate_pairs(const)
+    pair = cands[core.argmin_metric(core.weight_matrix, y, np.stack([h, h], axis=-1), cands)]
+    s3 = multicast_decode_s3(y[:, 0], h, pair[:, 0], pair[:, 1], alpha, const if s3_const is None else s3_const)
+    return np.column_stack([pair, s3])
 
 
 def multicast_receive(
@@ -50,12 +90,7 @@ def multicast_receive(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """User i's two observations (y1, y2)."""
-    y = np.array([h_i * frame.x1, h_i * frame.x2])
-    if sigma2 is not None:
-        if rng is None:
-            raise ValueError("rng is required when noise is present")
-        y += NoiseModel(sigma2).sample(rng, size=2)
-    return y
+    return multicast_observe(np.array([frame.x1, frame.x2]), h_i, sigma2, rng)
 
 
 def multicast_receive_decode(
@@ -67,23 +102,17 @@ def multicast_receive_decode(
 ) -> tuple[float, float]:
     """Decode (s1, s2) at one user with the weight rule, common gain h_i."""
     y = multicast_receive(frame, h_i, sigma2, rng)
-    cands = core.candidate_pairs(const)
-    w = core.weight_matrix(y, np.array([h_i, h_i]), cands)
-    best = cands[int(np.argmin(w))]
-    return float(best[0]), float(best[1])
+    s_hat = multicast_decode(y[None], np.array([h_i]), const, alpha=frame.alpha)
+    return float(s_hat[0, 0]), float(s_hat[0, 1])
 
 
-def multicast_decode_s3(
-    y1_user3: float,
-    h3: float,
-    s1_hat: float,
-    s2_hat: float,
-    alpha: float,
-    const: PamConstellation,
-) -> float:
-    """Strip the decoded pair from user 3's first observation and decode s3."""
+def multicast_decode_s3(y1_user3, h3, s1_hat, s2_hat, alpha: float, const: PamConstellation):
+    """Strip the decoded pair from user 3's first observation and decode s3.
+
+    Takes scalars or equal-shape arrays, one entry per frame.
+    """
     residual = y1_user3 - h3 * (s1_hat + s2_hat)
-    return float(const.nearest(residual / (alpha * h3)))
+    return const.nearest(residual / (alpha * h3))
 
 
 def s3_rate_slope(
@@ -109,23 +138,15 @@ def s3_rate_slope(
         q3 = max(1, int(round(p ** ((1.0 - epsilon) / 2.0))))
         pair_const = constellation_for_power(p, pair_q_s)
         s3_const = constellation_for_power(p, q3)
-        cands = core.candidate_pairs(pair_const)
         errors = 0
         done = 0
         while done < trials:
             n = min(4096, trials - done)
-            s12 = pair_const.draw(rng, size=(n, 2))
-            s3 = s3_const.draw(rng, size=n)
-            beta = 1.0 + alpha * s3 / s12[:, 1]
-            y = np.empty((n, 2))
-            y[:, 0] = h3 * (s12[:, 0] + s12[:, 1] + alpha * s3)
-            y[:, 1] = h3 * (s12[:, 1] - beta * s12[:, 0])
-            y += rng.normal(0.0, np.sqrt(sigma2), size=(n, 2))
-            hp = np.full((n, 2), h3)
-            hat = cands[core.argmin_metric(core.weight_matrix, y, hp, cands)]
-            resid = y[:, 0] - h3 * (hat[:, 0] + hat[:, 1])
-            s3_hat = s3_const.nearest(resid / (alpha * h3))
-            errors += int(np.sum(s3_hat != s3))
+            s = np.column_stack([pair_const.draw(rng, size=(n, 2)), s3_const.draw(rng, size=n)])
+            h = np.full(n, h3)
+            y = multicast_observe(multicast_precode(s, alpha)[1], h, sigma2, rng)
+            s3_hat = multicast_decode(y, h, pair_const, s3_const, alpha)[:, 2]
+            errors += int(np.sum(s3_hat != s[:, 2]))
             done += n
         pe = errors / trials
         bound = fano_rate_lower_bound(pe, q3)

@@ -148,7 +148,7 @@ class TestDminExhaustive:
         {0, 8, 8}: the integer channel is one of the measure-zero
         realizations where the minimum distance collapses to zero.
         """
-        const = model.build_constellation(1.0, 1)
+        const = model.PamConstellation(1.0, 1)
         y = np.array([2.0, 0.0])
         expected = {}
         for sa in const.points:

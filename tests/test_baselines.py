@@ -76,13 +76,13 @@ class TestSuccessive:
 
     def test_equal_gain_ambiguity_persists_noiseless(self):
         """h1 = h2 makes s=(1,2) collide: y=3 decodes to (2,1) even noiseless."""
-        const = model.build_constellation(1.0, 2)
+        const = model.PamConstellation(1.0, 2)
         got = baselines.successive_transmit_decode(1.0, 2.0, 1.0, 1.0, const, None)
         assert got == (2.0, 1.0)
 
     def test_stronger_gain_decoded_first(self):
         """Ordering is by |h|: with |h2| > |h1| the second symbol leads."""
-        const = model.build_constellation(1.0, 2)
+        const = model.PamConstellation(1.0, 2)
         # y = 0.1*1 + 10*2 = 20.1; stage 1 on h2: 2.0; residual 0.1 -> s1 = 1.
         got = baselines.successive_transmit_decode(1.0, 2.0, 0.1, 10.0, const, None)
         assert got == (1.0, 2.0)

@@ -68,6 +68,34 @@ class TestDissolutionFactor:
             core.dissolution_factor(blk, ch, 1)
 
 
+class TestDissolve:
+    """The batched signal model against the scalar frame entry points."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), k=st.integers(2, 8), q_s=st.sampled_from([1, 2, 4]))
+    def test_batch_rows_match_scalar_pairs(self, seed, k, q_s):
+        """Seeded channels are generic: every row equals the scalar pair, the
+        first use is sum_k h_k s_k, and the noiseless weight argmin is the pair."""
+        rng = RNG(seed)
+        n = 16
+        const = model.constellation_for_power(1.0, q_s)
+        cands = core.candidate_pairs(const)
+        h, _ = model.draw_channels(k, k, n, rng)
+        s = const.draw(rng, size=(n, k))
+        for m in range(1, core.num_pairs(k) + 1):
+            ab = list(core.pair_members(k, m))
+            beta, y = core.dissolve(h[:, ab], s[:, ab], core.out_of_pair_sum(h * s, m))
+            assert beta.shape == (n,) and y.shape == (n, 2)
+            for i in range(n):
+                blk, ch = make_instance(h[i], s[i])
+                rp = core.transmit_pair(blk, ch, m)
+                assert (y[i, 0], y[i, 1]) == (rp.y1, rp.ym)
+                assert beta[i] == core.dissolution_factor(blk, ch, m)
+            np.testing.assert_array_less(np.abs(y[:, 0] - np.sum(h * s, axis=1)), 1e-12 * np.sum(np.abs(h * s), axis=1))
+            hat = cands[core.argmin_metric(core.weight_matrix, y, h[:, ab], cands)]
+            np.testing.assert_array_equal(hat, s[:, ab])
+
+
 class TestPairing:
     def test_even_pairs(self):
         assert core.pair_members(4, 1) == (0, 1)
@@ -337,7 +365,7 @@ class TestDecodePair:
 
         Brute force over the 16 candidates: w(1,2) = w(1,-2) = 0.
         """
-        const = model.build_constellation(1.0, 2)
+        const = model.PamConstellation(1.0, 2)
         blk, ch = make_instance([1.0, 1.0, 1.0], [1.0, 2.0, 2.0])
         rp = core.transmit_pair(blk, ch, 1)
         zero_set = {(1.0, 2.0), (1.0, -2.0)}
@@ -511,14 +539,13 @@ class TestFrame:
         with pytest.raises(ValueError):
             core.transmit_and_decode_all(blk, ch, None, None, const, decoder=core.ML)
 
-    def test_plan_frame_powers(self):
+    def test_second_use_power(self):
         """Realized second-use power is beta^2 s_a^2 + s_b^2, not renormalized."""
-        blk, ch = make_instance([1.0, 1.0, 1.0], [1.0, 2.0, 2.0])
-        plan = core.plan_frame(blk, ch)
-        assert plan.beta[0] == pytest.approx(2.0)
-        powers = plan.use_powers
-        assert powers[0] == pytest.approx(9.0)  # 1 + 4 + 4
-        assert powers[1] == pytest.approx(4.0 * 1.0 + 4.0)  # beta^2 s1^2 + s2^2
+        h, s = np.ones(3), np.array([1.0, 2.0, 2.0])
+        beta, _ = core.dissolve(h[:2], s[:2], h[2:] @ s[2:])
+        assert beta == pytest.approx(2.0)
+        assert np.sum(s**2) == pytest.approx(9.0)  # first use: 1 + 4 + 4
+        assert core.second_use_power(beta, s[:2]) == pytest.approx(4.0 * 1.0 + 4.0)  # beta^2 s1^2 + s2^2
 
 
 class TestDeterminism:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import idsim
-from idsim import cli, core, harness, model
+from idsim import cli, core, harness, model, multicast
 
 # The directory idsim was imported from, so that subprocesses run the same
 # code whether or not the package is installed.
@@ -146,6 +146,21 @@ class TestDminAndDofSweeps:
         assert schemes == ["user1", "user2", "user3", "throughput_symbols_per_use"]
         assert rows[-1].bound_value == pytest.approx(1.5)
 
+    def test_multicast_user_scored_on_own_symbol(self):
+        """Recounting one chunk's stream reproduces each user's row when user
+        u is scored on s_u: s1, s2, then s3 from the first-use residual."""
+        cfg = small_cfg(experiment="multicast", trials=500, zeta_db_grid=[10.0])
+        rows = harness.run_multicast(cfg)
+        const = model.constellation_for_power(cfg.power_at(10.0), cfg.q_s)
+        rng = harness._rng(cfg, 0, 0)
+        gains = model._signed_rayleigh(rng, (cfg.trials, 3))
+        s = const.draw(rng, size=(cfg.trials, 3))
+        _, x = multicast.multicast_precode(s)
+        for u in range(3):
+            y = multicast.multicast_observe(x, gains[:, u], cfg.sigma2, rng)
+            s_hat = multicast.multicast_decode(y, gains[:, u], const)
+            assert rows[u].ser == pytest.approx(np.mean(s_hat[:, u] != s[:, u]), rel=1e-12)
+
 
 class TestCsv:
     def test_header_and_shape(self):
@@ -214,6 +229,35 @@ class TestCliEndToEnd:
         assert res.returncode == 0
         assert res.stdout.startswith("experiment,")
         assert "qs=4" in res.stdout
+        lines = res.stdout.strip().split("\n")
+        col = lines[0].split(",").index("bound_value")
+        assert all(float(line.split(",")[col]) > 0 for line in lines[1:])
+
+    def test_dmin_without_interferers_exits_nonzero(self, capsys):
+        """K = 2 has no interferers, so beta = 1 and the floor is a zero-weight ghost."""
+        assert cli.main(["dmin", "--k", "2", "--trials", "10"]) == 1
+        assert "k >= 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("ser", "--epsilon", "0.2"),
+            ("rate", "--epsilon", "0.2"),
+            ("dmin", "--snr-db", "0:10:20"),
+            ("dmin", "--decoder", "ml"),
+            ("dmin", "--epsilon", "0.2"),
+            ("dof", "--qs", "4"),
+            ("dof", "--decoder", "ml"),
+            ("multicast", "--k", "4"),
+            ("multicast", "--decoder", "ml"),
+            ("multicast", "--epsilon", "0.2"),
+        ],
+    )
+    def test_flag_the_experiment_ignores_is_a_usage_error(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*args, "--trials", "10"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "args", [("rate",), ("dof",), ("multicast",)]

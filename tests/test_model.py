@@ -14,18 +14,18 @@ SEED_REPRO = 77
 class TestPamConstellation:
     def test_smallest_alphabet(self):
         """a_s=1, q_s=1 gives the antipodal pair {-1, +1}."""
-        const = model.build_constellation(1.0, 1)
+        const = model.PamConstellation(1.0, 1)
         np.testing.assert_array_equal(const.points, [-1.0, 1.0])
 
     def test_four_pam(self):
         """a_s=1, q_s=2 is 4-PAM with zero excluded."""
-        const = model.build_constellation(1.0, 2)
+        const = model.PamConstellation(1.0, 2)
         np.testing.assert_array_equal(const.points, [-2.0, -1.0, 1.0, 2.0])
         assert const.size == 4
 
     def test_power_direct_sum(self):
         """Power formula matches the direct sum for a_s=0.5, q_s=3."""
-        const = model.build_constellation(0.5, 3)
+        const = model.PamConstellation(0.5, 3)
         direct = np.mean(const.points**2)
         assert direct == pytest.approx(7.0 / 6.0, rel=1e-15)
         assert const.power == pytest.approx(direct, rel=1e-15)
@@ -33,11 +33,11 @@ class TestPamConstellation:
     @given(a_s=st.floats(0.01, 100.0), q_s=st.integers(1, 64))
     def test_power_identity(self, a_s, q_s):
         """Closed form equals the alphabet average for all tested sizes."""
-        const = model.build_constellation(a_s, q_s)
+        const = model.PamConstellation(a_s, q_s)
         np.testing.assert_allclose(const.power, np.mean(const.points**2), rtol=1e-12)
 
     def test_symmetry_and_extremes(self):
-        const = model.build_constellation(0.7, 5)
+        const = model.PamConstellation(0.7, 5)
         assert np.mean(const.points) == pytest.approx(0.0, abs=1e-15)
         assert 0.0 not in const.points
         assert const.min_abs == pytest.approx(0.7)
@@ -46,10 +46,10 @@ class TestPamConstellation:
     @pytest.mark.parametrize("a_s,q_s", [(0.0, 2), (-1.0, 2), (1.0, 0), (1.0, -3)])
     def test_invalid_parameters(self, a_s, q_s):
         with pytest.raises(ValueError):
-            model.build_constellation(a_s, q_s)
+            model.PamConstellation(a_s, q_s)
 
     def test_nearest_is_alphabet_point(self):
-        const = model.build_constellation(1.0, 2)
+        const = model.PamConstellation(1.0, 2)
         assert const.nearest(3.7) == 2.0
         assert const.nearest(-0.2) == -1.0
         got = const.nearest(np.array([0.4, -5.0]))
@@ -64,7 +64,7 @@ class TestPamConstellation:
     @pytest.mark.parametrize("a_s", [1.0, 0.5, 0.37, 3.1e-3, 41.0])
     @pytest.mark.parametrize("q_s", [1, 2, 8, 32])
     def test_nearest_matches_argmin_on_random_inputs(self, a_s, q_s):
-        const = model.build_constellation(a_s, q_s)
+        const = model.PamConstellation(a_s, q_s)
         x = np.random.default_rng([q_s, 7]).normal(scale=1.5 * a_s * q_s, size=4000)
         x[:2] = [0.0, -0.0]
         got = const.nearest(x)
@@ -76,7 +76,7 @@ class TestPamConstellation:
     def test_nearest_ties_match_argmin_at_midpoints(self, a_s, q_s):
         """Every multiple of a_s / 2 out to q_s + 1/2, which holds each midpoint
         between neighbours and 0 between -1 and +1: ties go to the lower point."""
-        const = model.build_constellation(a_s, q_s)
+        const = model.PamConstellation(a_s, q_s)
         mids = a_s * np.arange(-2 * q_s - 1, 2 * q_s + 2) / 2.0
         got = const.nearest(mids)
         np.testing.assert_array_equal(got, self.nearest_by_argmin(const, mids))
@@ -166,18 +166,18 @@ class TestChannelDraws:
 class TestNoise:
     def test_unit_variance(self):
         rng = np.random.default_rng(SEED_MOMENTS)
-        x = model.awgn(1.0, rng, size=1_000_000)
+        x = model.NoiseModel(1.0).sample(rng, size=1_000_000)
         assert np.var(x) == pytest.approx(1.0, abs=0.01)
         assert np.mean(x) == pytest.approx(0.0, abs=0.01)
 
     def test_scaled_std(self):
         rng = np.random.default_rng(SEED_MOMENTS)
-        x = model.awgn(4.0, rng, size=1_000_000)
+        x = model.NoiseModel(4.0).sample(rng, size=1_000_000)
         assert np.std(x) == pytest.approx(2.0, abs=0.02)
 
     def test_reproducible(self):
-        a = model.awgn(1.0, np.random.default_rng(5), size=8)
-        b = model.awgn(1.0, np.random.default_rng(5), size=8)
+        a = model.NoiseModel(1.0).sample(np.random.default_rng(5), size=8)
+        b = model.NoiseModel(1.0).sample(np.random.default_rng(5), size=8)
         np.testing.assert_array_equal(a, b)
 
     def test_invalid_variance(self):

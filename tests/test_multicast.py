@@ -67,7 +67,7 @@ class TestDecodeS3:
 
     def test_pair_error_propagates(self):
         """An off-by-one pair decision shifts the residual into a wrong s3."""
-        const = model.build_constellation(1.0, 2)
+        const = model.PamConstellation(1.0, 2)
         frame = multicast.multicast_transmit(2.0, 1.0, 1.0)
         y = multicast.multicast_receive(frame, 1.0, None)
         right = multicast.multicast_decode_s3(float(y[0]), 1.0, 2.0, 1.0, frame.alpha, const)
