@@ -30,9 +30,14 @@ class BaselineConfig:
             raise ValueError("power must be positive")
 
 
-def mrc_effective_gain(g: np.ndarray) -> float:
-    """Beamforming gain of transmit MRC: ||g||."""
-    return float(np.sqrt(np.sum(np.asarray(g, dtype=float) ** 2)))
+def mrc_effective_gain(g: np.ndarray):
+    """Beamforming gain of transmit MRC: ||g|| over the last axis."""
+    return np.sqrt(np.sum(np.asarray(g, dtype=float) ** 2, axis=-1))
+
+
+def mrc_decode_batch(y: np.ndarray, gain: np.ndarray, const: PamConstellation) -> np.ndarray:
+    """Nearest-neighbor MRC decisions for observations ``y = gain * sym + n``."""
+    return const.nearest(y / gain)
 
 
 def mrc_transmit_decode(
@@ -46,12 +51,13 @@ def mrc_transmit_decode(
 
     ``sym`` must come from ``const``, which carries the full per-use power.
     """
-    y = mrc_effective_gain(g) * sym
+    gain = mrc_effective_gain(g)
+    y = gain * sym
     if sigma2 is not None:
         if rng is None:
             raise ValueError("rng is required when noise is present")
         y += NoiseModel(sigma2).sample(rng)
-    return float(const.nearest(y / mrc_effective_gain(g)))
+    return float(mrc_decode_batch(np.asarray([y]), np.asarray([gain]), const)[0])
 
 
 def successive_transmit_decode(

@@ -92,7 +92,7 @@ def main(argv=None) -> int:
         cfg = harness.ExperimentConfig(experiment=opts["experiment"], **fields)
         rows = harness.run_experiment(cfg)
         harness.write_csv(rows, cfg.output_path, cfg.emit_plot_data)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, harness.WorkerError) as exc:
         print(f"idsim: error: {exc}", file=sys.stderr)
         return 1
     return 0

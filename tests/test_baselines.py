@@ -30,6 +30,21 @@ class TestMrc:
 
     def test_effective_gain(self):
         assert baselines.mrc_effective_gain(np.array([3.0, 4.0])) == pytest.approx(5.0)
+        np.testing.assert_allclose(baselines.mrc_effective_gain(np.array([[3.0, 4.0], [-5.0, 12.0]])), [5.0, 13.0])
+
+    def test_batch_decision_is_nearest_point(self):
+        """Each batched MRC decision is the alphabet point nearest y / ||g||."""
+        rng = np.random.default_rng(4)
+        const = model.constellation_for_power(20.0, 4)
+        n = 2000
+        g = model._signed_rayleigh(rng, (n, 2))
+        s = const.draw(rng, size=n)
+        gain = baselines.mrc_effective_gain(g)
+        y = gain * s + rng.normal(0.0, 1.0, n)
+        got = baselines.mrc_decode_batch(y, gain, const)
+        brute = const.points[np.argmin(np.abs((y / gain)[:, None] - const.points), axis=1)]
+        np.testing.assert_array_equal(got, brute)
+        assert 0 < np.mean(got != s) < 0.5
 
     def test_high_snr_error_floor(self):
         """At zeta = 40 dB the 4-PAM MRC SER over fading is below 1e-4."""
@@ -39,9 +54,9 @@ class TestMrc:
         n = 200_000
         g = model._signed_rayleigh(rng, (n, 2))
         s = const.draw(rng, size=n)
-        gn = np.sqrt(np.sum(g**2, axis=1))
+        gn = baselines.mrc_effective_gain(g)
         y = gn * s + rng.normal(0.0, 1.0, n)
-        ser = np.mean(const.nearest(y / gn) != s)
+        ser = np.mean(baselines.mrc_decode_batch(y, gn, const) != s)
         assert ser < 1e-4
 
     def test_monotone_in_snr(self):
@@ -54,9 +69,9 @@ class TestMrc:
             n = 20_000
             g = model._signed_rayleigh(rng, (n, 2))
             s = const.draw(rng, size=n)
-            gn = np.sqrt(np.sum(g**2, axis=1))
+            gn = baselines.mrc_effective_gain(g)
             y = gn * s + rng.normal(0.0, 1.0, n)
-            sers.append(np.mean(const.nearest(y / gn) != s))
+            sers.append(np.mean(baselines.mrc_decode_batch(y, gn, const) != s))
         assert all(b <= a for a, b in zip(sers, sers[1:]))
 
     def test_rng_required_with_noise(self):

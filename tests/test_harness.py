@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -19,6 +20,10 @@ def subprocess_env(env):
     """``env`` with PACKAGE_ROOT first on PYTHONPATH."""
     path = os.pathsep.join(p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     return {**env, "PYTHONPATH": path}
+
+
+def no_fork():
+    raise AssertionError("a process was started")
 
 
 def small_cfg(**kw):
@@ -102,6 +107,144 @@ class TestSerSweep:
     def test_ml_decoder_scheme_name(self):
         rows = harness.run_ser_sweep(small_cfg(decoder=core.ML))
         assert any(r.scheme == "id_ml" for r in rows)
+
+
+class TestWorkers:
+    """Sweeps split their keyed chunk streams over forked workers."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("ser", "--k", "2"),
+            ("ser", "--k", "4", "--decoder", "ml"),
+            ("rate", "--decoder", "ml"),
+            ("multicast",),
+        ],
+    )
+    def test_csv_independent_of_worker_count(self, args, tmp_path, monkeypatch):
+        """1, 2.5 and 3 chunks per grid point on 1, 2 and 3 workers give the
+        same bytes: results must not depend on which process runs a chunk."""
+        for trials in (harness.CHUNK, 5 * harness.CHUNK // 2, 3 * harness.CHUNK):
+            texts = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(harness, "usable_cores", lambda: workers)
+                out = tmp_path / f"t{trials}_w{workers}.csv"
+                argv = [*args, "--qs", "2", "--snr-db", "0,10", "--trials", str(trials), "--seed", "77",
+                        "--out", str(out)]
+                assert cli.main(argv) == 0
+                texts.append(out.read_text())
+            assert texts[0] == texts[1] == texts[2], (args, trials)
+
+    def test_power_sum_in_chunk_order(self, monkeypatch):
+        """tx_power_use2 adds the chunks' float sums left to right, as the
+        serial loop does, so it matches that loop to the last bit."""
+        monkeypatch.setattr(harness, "usable_cores", lambda: 3)
+        cfg = small_cfg(k=5, zeta_db_grid=[30.0], trials=5 * harness.CHUNK // 2)
+        row = harness.run_ser_sweep(cfg)[0]
+        const = model.constellation_for_power(cfg.power_at(30.0), cfg.q_s)
+        power2 = 0.0
+        for chunk_idx, n in enumerate([harness.CHUNK, harness.CHUNK, harness.CHUNK // 2]):
+            _, _, s, beta, _ = harness._id_frame_batch(cfg, const, n, harness._rng(cfg, 0, chunk_idx))
+            power2 += float(np.sum(core.second_use_power(beta, s)))
+        assert row.tx_power_use2 == power2 / cfg.trials
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_failed_chunk_fails_the_run_and_leaves_no_child(self, failing, monkeypatch, capsys):
+        """A chunk that raises in the parent (worker 0) or in worker 1 fails
+        the run, the CLI exits 1, and every child has been reaped."""
+        monkeypatch.setattr(harness, "usable_cores", lambda: 2)
+        parent = os.getpid()
+        ser_chunk = harness._ser_chunk
+
+        def flaky(*args):
+            if (os.getpid() == parent) == (failing == 0):
+                raise ValueError(f"chunk failed in worker {failing}")
+            return ser_chunk(*args)
+
+        monkeypatch.setattr(harness, "_ser_chunk", flaky)
+        with pytest.raises(ValueError, match=f"chunk failed in worker {failing}") as exc:
+            harness.run_experiment(small_cfg(trials=4 * harness.CHUNK))
+        if failing:
+            assert "in sweep worker 1" in str(exc.value.__cause__)
+            assert "in flaky" in str(exc.value.__cause__)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert cli.main(["ser", "--snr-db", "0,10", "--trials", "20000"]) == 1
+        assert f"chunk failed in worker {failing}" in capsys.readouterr().err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_that_sends_nothing_fails_the_run(self, monkeypatch):
+        monkeypatch.setattr(harness, "usable_cores", lambda: 2)
+        parent = os.getpid()
+        ser_chunk = harness._ser_chunk
+
+        def vanish(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return ser_chunk(*args)
+
+        monkeypatch.setattr(harness, "_ser_chunk", vanish)
+        with pytest.raises(harness.WorkerError, match="without sending"):
+            harness.run_experiment(small_cfg())
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_stdout_csv_printed_once(self):
+        """Workers never flush the parent's buffered output: text printed
+        before the sweep and the CSV each appear exactly once."""
+        code = (
+            "import sys; from idsim import cli, harness; harness.usable_cores = lambda: 2; "
+            "print('before'); "
+            "sys.exit(cli.main(['ser', '--snr-db', '0:10:20', '--trials', '20000']))"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        res = subprocess.run([sys.executable, "-c", code], env=subprocess_env(env),
+                             capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        lines = res.stdout.split("\n")
+        assert lines[0] == "before"
+        assert res.stdout.count("before") == 1
+        assert res.stdout.count("experiment,scheme") == 1
+        assert len(lines) == 2 + 3 * 3 + 1  # 'before', header, 9 rows, trailing ''
+
+    def test_exception_that_does_not_unpickle_keeps_its_traceback(self, monkeypatch):
+        """A child's exception that cannot be rebuilt here arrives as a
+        WorkerError holding the child's traceback."""
+        monkeypatch.setattr(harness, "usable_cores", lambda: 2)
+        parent = os.getpid()
+        ser_chunk = harness._ser_chunk
+
+        class NeedsTwoArgs(Exception):
+            def __init__(self, a, b):
+                super().__init__(f"{a} {b}")
+
+        def flaky(*args):
+            if os.getpid() != parent:
+                raise NeedsTwoArgs("lost", "arguments")
+            return ser_chunk(*args)
+
+        monkeypatch.setattr(harness, "_ser_chunk", flaky)
+        with pytest.raises(harness.WorkerError, match="NeedsTwoArgs: lost arguments"):
+            harness.run_experiment(small_cfg())
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_fork_while_other_threads_run(self, monkeypatch):
+        """With another thread running the sweep stays in this process."""
+        monkeypatch.setattr(harness, "usable_cores", lambda: 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            rows = harness.run_experiment(small_cfg(trials=3 * harness.CHUNK))
+        finally:
+            release.set()
+            thread.join()
+        monkeypatch.undo()
+        monkeypatch.setattr(harness, "usable_cores", lambda: 1)
+        assert rows == harness.run_experiment(small_cfg(trials=3 * harness.CHUNK))
 
 
 class TestRateSweep:
