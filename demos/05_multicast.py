@@ -15,19 +15,23 @@ rng = np.random.default_rng(11)
 
 P = 25.0
 const = model.constellation_for_power(P, 2)
-s1, s2, s3 = (float(x) for x in const.draw(rng, size=3))
-frame = multicast.multicast_transmit(s1, s2, s3)
-print(f"symbols: s1={s1:+.3f} s2={s2:+.3f} s3={s3:+.3f}  alpha={frame.alpha:.6f}")
-print(f"sent: x1 = {frame.x1:+.4f} (= s1 + beta*s2), x2 = {frame.x2:+.4f}, beta = {frame.beta:+.4f}")
+s = const.draw(rng, size=3)
+s1, s2, s3 = s
+alpha = multicast.ALPHA_DEFAULT
+beta, x = multicast.multicast_precode(s)
+print(f"symbols: s1={s1:+.3f} s2={s2:+.3f} s3={s3:+.3f}  alpha={alpha:.6f}")
+print(f"sent: x1 = {x[0]:+.4f} (= s1 + beta*s2), x2 = {x[1]:+.4f}, beta = {beta:+.4f}")
 
 gains = model._signed_rayleigh(rng, 3)
 sigma2 = 1.0
 for user, h_i in enumerate(gains, start=1):
-    got = multicast.multicast_receive_decode(frame, float(h_i), sigma2, rng, const)
+    # One user's observation of one frame is a batch of n = 1.
+    y = multicast.multicast_observe(x[None], h_i[None], sigma2, rng)
+    got = multicast.multicast_decode(y, h_i[None], const)[0]
     line = f"user {user} (h={h_i:+.3f}): pair -> ({got[0]:+.3f}, {got[1]:+.3f})"
     if user == 3:
-        y = multicast.multicast_receive(frame, float(h_i), sigma2, rng)
-        s3_hat = multicast.multicast_decode_s3(float(y[0]), float(h_i), got[0], got[1], frame.alpha, const)
+        y = multicast.multicast_observe(x, h_i, sigma2, rng)
+        s3_hat = multicast.multicast_decode_s3(y[0], h_i, got[0], got[1], alpha, const)
         line += f", s3 -> {s3_hat:+.3f}"
     print(line)
 

@@ -5,8 +5,9 @@ symbol pair nonlinearly precoded so the pair can be peeled off with one
 more observation: interference is dissolved into the pair's own direction's
 orthogonal complement. Modules:
 
-- ``model``: constellations, Rayleigh channel draws, noise, power budgets
-- ``core``: the dissolution signal model, the weight decoder, and likelihood oracles
+- ``model``: constellations with exact power accounting, Rayleigh channel draws
+- ``core``: the dissolution signal model, the weight decoder, likelihood oracles,
+  and batched whole-frame observation and decoding
 - ``baselines``: transmit-MRC MISO and successive decoding references
 - ``analysis``: closed-form rates, bounds, distance and DoF probers
 - ``multicast``: the three-user, three-symbols-in-two-uses application
@@ -27,55 +28,38 @@ if not any(var in _os.environ for var in _BLAS_THREAD_VARS):
 from .analysis import (
     DminReport,
     DofPoint,
-    RateReport,
     binary_entropy,
     capacity_gap_check,
     capacity_miso,
-    dmin_exhaustive,
     dmin_probe,
     dof_growth_slope,
     dof_slope,
     fano_rate_lower_bound,
     pe_upper_bound,
     rate_pair_gaussian,
-    rate_report,
     rate_total,
 )
-from .baselines import BaselineConfig, mrc_transmit_decode, successive_transmit_decode
+from .baselines import mrc_decode_batch
 from .core import (
-    DecodeResult,
-    ReceivedPair,
-    SymbolBlock,
     channel_uses,
-    decode_pair,
-    dissolution_factor,
     dissolve,
-    first_use_signal,
-    frame_symbols,
-    ml_decode_pair,
-    ml_decode_pair_known_beta,
-    transmit_and_decode_all,
-    transmit_frame,
-    transmit_pair,
-    weight,
+    frame_decode,
+    frame_observe,
+    pair_decode,
 )
 from .harness import ExperimentConfig, SweepRow, run_experiment, write_csv
 from .model import (
     ChannelRealization,
-    NoiseModel,
     PamConstellation,
-    PowerBudget,
     amplitude_for_power,
     constellation_for_power,
     draw_channel,
 )
 from .multicast import (
     ALPHA_DEFAULT,
-    MulticastFrame,
     multicast_decode,
     multicast_decode_s3,
-    multicast_receive_decode,
-    multicast_transmit,
+    multicast_precode,
     s3_rate_slope,
 )
 

@@ -19,6 +19,12 @@ import numpy as np
 from . import core
 from .model import ChannelRealization, PamConstellation, constellation_for_power, _signed_rayleigh
 
+# Draws per batch of the distance prober and of the DoF pair-error estimate,
+# and the top grid points the DoF slope is fitted over.
+DMIN_CHUNK = 4096
+DOF_CHUNK = 2048
+DOF_FIT_POINTS = 3
+
 
 def capacity_miso(g: np.ndarray, p_s: float, sigma2: float):
     """MISO capacity 1/2 log2(1 + p_s * sum g^2 / sigma2); g may be (..., N)."""
@@ -40,24 +46,20 @@ def rate_pair_gaussian(ch: ChannelRealization, p: float, sigma2: float, m: int):
     return first + second
 
 
-def rate_total(ch: ChannelRealization, p: float, sigma2: float, k: int | None = None):
+def rate_total(ch: ChannelRealization, p: float, sigma2: float):
     """Overall rate per channel use: the pair rates split over ceil(K/2)+1 uses."""
-    if k is None:
-        k = ch.k
-    elif k != ch.k:
-        raise ValueError(f"k={k} does not match the channel's {ch.k} gains")
-    pairs = core.num_pairs(k)
+    pairs = core.num_pairs(ch.k)
     total = sum(rate_pair_gaussian(ch, p, sigma2, m) for m in range(1, pairs + 1))
     return total / (pairs + 1)
 
 
-def capacity_gap_check(ch: ChannelRealization, p: float, sigma2: float, k: int | None = None):
+def capacity_gap_check(ch: ChannelRealization, p: float, sigma2: float):
     """Margin of the one-bit capacity-gap claim: R - (C - 1) with P_s = 2P.
 
     Returns ``(holds, margin)``. Meaningful under the K > N shared-antenna
     mapping where sum h^2 exceeds sum g^2 and K is large.
     """
-    r = rate_total(ch, p, sigma2, k)
+    r = rate_total(ch, p, sigma2)
     c = capacity_miso(ch.g, 2.0 * p, sigma2)
     margin = r - (c - 1.0)
     return bool(margin > 0), float(margin)
@@ -83,22 +85,6 @@ def pe_upper_bound(dmin2: float, sigma2: float) -> float:
     if dmin2 < 0:
         raise ValueError("squared distance must be non-negative")
     return float(np.exp(-dmin2 / (8.0 * sigma2)))
-
-
-def dmin_exhaustive(
-    s_true: tuple[float, float],
-    beta: float,
-    h: float,
-    const: PamConstellation,
-) -> float:
-    """Exact squared minimum weight over all wrong candidates, common pair gain.
-
-    The noiseless observation is v(s_true) + beta * v_perp(s_true) with
-    v = h * (s_a, s_b); the returned value is min over candidates != s_true
-    of (|<y - v(cand), v(cand)>| / ||v(cand)||)^2.
-    """
-    interference = (beta - 1.0) * h * s_true[1]
-    return float(dmin_batch(np.array([s_true]), np.array([interference]), np.array([h]), const)[0])
 
 
 @dataclass
@@ -131,26 +117,21 @@ def dmin_batch(s_true: np.ndarray, interference: np.ndarray, h: np.ndarray, cons
     return np.min(np.where(is_true, np.inf, w), axis=1) ** 2
 
 
-def dmin_probe(
-    q_s: int,
-    draws: int,
-    rng: np.random.Generator,
-    k: int = 4,
-    p: float = 1.0,
-    chunk: int = 4096,
-) -> DminReport:
+def dmin_probe(q_s: int, draws: int, rng: np.random.Generator, k: int = 4) -> DminReport:
     """Sample the scaled minimum distance over random channels and symbols.
 
     The intended pair rides a common gain; interferers keep independent
     gains so the dissolution factor stays generic, which needs K >= 3.
+    The scaled distance does not depend on the power, which is one. Draws
+    are taken DMIN_CHUNK at a time.
     """
     if k < 3:
         raise ValueError(f"dmin needs k >= 3: with k={k} beta = 1 and the common-gain pair has a zero-weight ghost")
-    const = constellation_for_power(p, q_s)
+    const = constellation_for_power(1.0, q_s)
     scaled = np.empty(draws)
     done = 0
     while done < draws:
-        n = min(chunk, draws - done)
+        n = min(DMIN_CHUNK, draws - done)
         h = _signed_rayleigh(rng, n)
         g_int = _signed_rayleigh(rng, (n, k - 2))
         s = const.draw(rng, size=(n, k))
@@ -182,21 +163,14 @@ class DofPoint:
         return self.fano_bound / (0.5 * np.log2(self.p))
 
 
-def dof_slope(
-    p_grid,
-    epsilon: float,
-    trials: int,
-    rng: np.random.Generator,
-    k: int = 4,
-    sigma2: float = 1.0,
-) -> list[DofPoint]:
+def dof_slope(p_grid, epsilon: float, trials: int, rng: np.random.Generator, k: int = 4) -> list[DofPoint]:
     """Fano-bound rate against (1/2) log2 P across a power grid.
 
     The constellation half-size grows as P^((1-eps)/4). The pair rides one
     fixed generic channel draw (the degrees-of-freedom claim is per
     realization); the pair-error probability is pooled over symbol and
-    noise draws. Every power must exceed 1 (0 dB), where (1/2) log2 P, the
-    divisor of ``DofPoint.ratio``, is positive.
+    unit-variance noise draws. Every power must exceed 1 (0 dB), where
+    (1/2) log2 P, the divisor of ``DofPoint.ratio``, is positive.
     """
     p_grid = np.asarray(p_grid, dtype=float)
     if not np.all(p_grid > 1.0):
@@ -207,69 +181,43 @@ def dof_slope(
     for p in p_grid:
         q_s = constellation_size_for_power(p, epsilon)
         const = constellation_for_power(p, q_s)
-        pe = _pair_error_rate(const, h_common, g_int, sigma2, trials, rng)
+        pe = _pair_error_rate(const, h_common, g_int, trials, rng)
         out.append(DofPoint(p=float(p), q_s=q_s, pe=pe, fano_bound=fano_rate_lower_bound(pe, q_s)))
     return out
 
 
-def dof_growth_slope(points: list[DofPoint], last: int = 3) -> float:
+def dof_growth_slope(points: list[DofPoint]) -> float:
     """Degrees-of-freedom estimate: growth rate of the Fano bound.
 
-    Regression slope of the bound against (1/2) log2 P over the top ``last``
-    grid points. The ratio bound / ((1/2) log2 P) converges to the same
-    limit but only slowly, since the critical constellation scaling keeps
-    the error probability order one at bench-scale powers.
+    Regression slope of the bound against (1/2) log2 P over the top
+    DOF_FIT_POINTS grid points. The ratio bound / ((1/2) log2 P) converges
+    to the same limit but only slowly, since the critical constellation
+    scaling keeps the error probability order one at bench-scale powers.
     """
-    pts = points[-last:]
+    pts = points[-DOF_FIT_POINTS:]
     x = np.array([0.5 * np.log2(pt.p) for pt in pts])
     y = np.array([pt.fano_bound for pt in pts])
     return float(np.polyfit(x, y, 1)[0])
 
 
 def _pair_error_rate(
-    const: PamConstellation,
-    h_common: float,
-    g_int: np.ndarray,
-    sigma2: float,
-    trials: int,
-    rng: np.random.Generator,
-    chunk: int = 2048,
+    const: PamConstellation, h_common: float, g_int: np.ndarray, trials: int, rng: np.random.Generator
 ) -> float:
-    """Monte Carlo pair-error rate of the weight decoder, fixed channel."""
+    """Monte Carlo pair-error rate of the weight decoder, fixed channel, unit
+    noise variance; frames are drawn DOF_CHUNK at a time."""
     cands = core.candidate_pairs(const)
     h_pair = np.array([h_common, h_common])
     errors = 0
     done = 0
     while done < trials:
-        n = min(chunk, trials - done)
+        n = min(DOF_CHUNK, trials - done)
         s = const.draw(rng, size=(n, 2 + g_int.shape[0]))
         _, y = core.dissolve(h_pair, s[:, :2], s[:, 2:] @ g_int)
-        y += rng.normal(0.0, np.sqrt(sigma2), size=(n, 2))
+        y += rng.normal(0.0, 1.0, size=(n, 2))
         hat = cands[core.argmin_metric(core.weight_matrix, y, np.broadcast_to(h_pair, (n, 2)), cands)]
         errors += int(np.sum((hat[:, 0] != s[:, 0]) | (hat[:, 1] != s[:, 1])))
         done += n
     return errors / trials
-
-
-@dataclass
-class RateReport:
-    """Per-pair rates, the per-use total, capacities, and the one-bit margin."""
-
-    r_pair: np.ndarray
-    r_total: float
-    c_miso: float
-    c_sum_h: float
-    gap: float
-
-
-def rate_report(ch: ChannelRealization, p: float, sigma2: float) -> RateReport:
-    """Assemble the rate quantities for one channel realization (P_s = 2P)."""
-    pairs = core.num_pairs(ch.k)
-    r_pair = np.array([rate_pair_gaussian(ch, p, sigma2, m) for m in range(1, pairs + 1)])
-    r_tot = float(np.sum(r_pair) / (pairs + 1))
-    c = capacity_miso(ch.g, 2.0 * p, sigma2)
-    c_h = capacity_miso(ch.h, 2.0 * p, sigma2)
-    return RateReport(r_pair=r_pair, r_total=r_tot, c_miso=c, c_sum_h=c_h, gap=c - r_tot)
 
 
 def cov_unconditional(ch: ChannelRealization, p: float, sigma2: float) -> np.ndarray:

@@ -14,34 +14,12 @@ by the residual component along the candidate vector and is blind to beta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import ChannelRealization, NoiseModel, PamConstellation
+from .model import PamConstellation
 
 WEIGHT = "weight"
 ML = "ml"
-
-
-@dataclass
-class SymbolBlock:
-    """The K symbols sent in one frame."""
-
-    s: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.s = np.atleast_1d(np.asarray(self.s, dtype=float))
-        if self.s.shape[-1] < 2:
-            raise ValueError("a frame needs at least two symbols")
-
-    @property
-    def k(self) -> int:
-        return self.s.shape[-1]
-
-    @classmethod
-    def draw(cls, const: PamConstellation, k: int, rng) -> "SymbolBlock":
-        return cls(s=const.draw(rng, size=k))
 
 
 def num_pairs(k: int) -> int:
@@ -64,36 +42,6 @@ def pair_members(k: int, m: int) -> tuple[int, int]:
     if 2 * m <= k:
         return 2 * m - 2, 2 * m - 1
     return k - 1, 0
-
-
-@dataclass
-class ReceivedPair:
-    """The two observations used to decode pair m: (y_1, y_{m+1})."""
-
-    y1: float
-    ym: float
-    pair_index: int
-
-    @property
-    def y(self) -> np.ndarray:
-        return np.array([self.y1, self.ym], dtype=float)
-
-
-@dataclass
-class DecodeResult:
-    """Decoded pair with the winning metric value and decoder tag."""
-
-    pair: tuple[float, float]
-    weight_min: float
-    decoder: str
-    pair_index: int = 1
-
-
-def first_use_signal(block: SymbolBlock, ch: ChannelRealization) -> float:
-    """Noiseless first observation: sum_k h_k s_k."""
-    if block.k != ch.k:
-        raise ValueError(f"block has {block.k} symbols but channel has {ch.k} gains")
-    return float(ch.h @ block.s)
 
 
 def out_of_pair_sum(x: np.ndarray, m: int) -> np.ndarray:
@@ -126,41 +74,25 @@ def second_use_power(beta, s_pair: np.ndarray):
     return beta**2 * s_pair[..., 0] ** 2 + s_pair[..., 1] ** 2
 
 
-def _dissolve_pairs(block: SymbolBlock, ch: ChannelRealization, ms) -> tuple[np.ndarray, np.ndarray]:
-    """``dissolve`` on pairs ``ms`` of one frame: beta (len(ms),), y (len(ms), 2)."""
-    if block.k != ch.k:
-        raise ValueError(f"block has {block.k} symbols but channel has {ch.k} gains")
-    idx = np.array([pair_members(block.k, m) for m in ms])
-    interference = np.array([out_of_pair_sum(ch.h * block.s, m) for m in ms])
-    return dissolve(ch.h[idx], block.s[idx], interference)
+def frame_observe(h: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Noiseless observations of whole frames: every pair through ``dissolve``.
 
-
-def dissolution_factor(block: SymbolBlock, ch: ChannelRealization, m: int) -> float:
-    """beta_m = 1 + (sum of out-of-pair h_k s_k) / (h_b s_b) for pair m."""
-    return float(_dissolve_pairs(block, ch, [m])[0][0])
-
-
-def _add_noise(y: np.ndarray, noise: NoiseModel | None, rng: np.random.Generator | None) -> None:
-    """Add one noise sample to each entry of ``y``, in order, in place."""
-    if noise is None:
-        return
-    if rng is None:
-        raise ValueError("rng is required when noise is present")
-    for i in range(len(y)):
-        y[i] += noise.sample(rng)
-
-
-def transmit_pair(
-    block: SymbolBlock,
-    ch: ChannelRealization,
-    m: int,
-    noise: NoiseModel | None = None,
-    rng: np.random.Generator | None = None,
-) -> ReceivedPair:
-    """Received (y_1, y_{m+1}) for pair m; ``noise=None`` gives the noiseless pair."""
-    y = _dissolve_pairs(block, ch, [m])[1][0]
-    _add_noise(y, noise, rng)
-    return ReceivedPair(y1=float(y[0]), ym=float(y[1]), pair_index=m)
+    h, s: (n, K) symbol gains and symbols. Returns the M = ceil(K/2)
+    dissolution factors beta, shape (n, M), and the 1 + M channel uses y,
+    shape (n, 1 + M): the shared first use (pair 1's), then one second use
+    per pair in pair order. Pair m is decoded from ``y[:, [0, m]]``. Noise
+    is the caller's: one ``rng.normal(0, sqrt(sigma2), y.shape)`` draws it
+    for the shared use first, then for each second use when n = 1.
+    """
+    if h.shape != s.shape:
+        raise ValueError(f"gains {h.shape} and symbols {s.shape} differ in shape")
+    k = s.shape[-1]
+    ms = range(1, num_pairs(k) + 1)
+    hs = h * s
+    interference = np.stack([out_of_pair_sum(hs, m) for m in ms], axis=-1)
+    idx = [pair_members(k, m) for m in ms]
+    beta, y = dissolve(h[..., idx], s[..., idx], interference)
+    return beta, np.concatenate([y[..., :1, 0], y[..., 1]], axis=-1)
 
 
 def candidate_pairs(const: PamConstellation) -> np.ndarray:
@@ -181,6 +113,11 @@ def weight_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, out=None
     so the weight is |A - B| / sqrt(B) and no (..., C, 2) array is built.
     ``out``, if given, holds at least two (..., C) float64 buffers; the
     result is written into the first.
+
+    The weight rule is a GLRT: ML with beta an unknown real parameter.
+    {v, v_perp} / ||v|| is an orthonormal basis of R^2, so
+    ||y - v - beta v_perp||^2 = <y - v, v>^2 / ||v||^2 + (<y - v, v_perp> / ||v|| - beta ||v||)^2,
+    and weight^2 = min over beta of ||y - v - beta v_perp||^2.
     """
     w, energy = out[:2] if out is not None else (None, None)
     w = np.matmul(y * h_pair, cands.T, out=w)
@@ -243,6 +180,10 @@ def ml_metric_matrix(
 def known_beta_metric_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, beta, out=None) -> np.ndarray:
     """Squared distance ||y - v - beta * v_perp||^2 of every candidate pair.
 
+    With beta known to the receiver the observation is Gaussian around
+    v + beta v_perp, so this is the exact ML metric; without interferers
+    (K = 2) beta = 1 deterministically.
+
     y: (..., 2), h_pair: (..., 2), beta: scalar or (...,). Expanding the
     square with <v, v_perp> = 0 gives
     ||y||^2 - 2 [(y0 - beta y1) h0, (beta y0 + y1) h1] @ cands^T + (1 + beta^2) B,
@@ -297,129 +238,39 @@ def argmin_metric(metric, y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, 
     return idx
 
 
-def weight(rp: ReceivedPair, cand: tuple[float, float], ch: ChannelRealization, m: int) -> float:
-    """Weight component of one candidate pair: |<y - v, v>| / ||v||."""
-    a, b = pair_members(ch.k, m)
-    return float(weight_matrix(rp.y, ch.h[[a, b]], np.asarray(cand, dtype=float)[None, :])[0])
+def pair_decode(y, h, m, cands, decoder=WEIGHT, p=None, sigma2=None) -> np.ndarray:
+    """Decisions (n, 2) on pair m of frames with gains h (n, K) from its
+    observations y (n, 2), by exhaustive search over ``cands`` (C, 2).
 
-
-def _metric_values(metric, rp: ReceivedPair, ch: ChannelRealization, m: int, const: PamConstellation, *args):
-    a, b = pair_members(ch.k, m)
-    return metric(rp.y, ch.h[[a, b]], candidate_pairs(const), *args)
-
-
-def _decode(decoder: str, metric, rp, ch, m, const, *args) -> DecodeResult:
-    """Exhaustive decoding of pair m by ``metric``; ties resolve to the first candidate."""
-    vals = _metric_values(metric, rp, ch, m, const, *args)
-    idx = int(np.argmin(vals))
-    s_a, s_b = candidate_pairs(const)[idx]
-    return DecodeResult(pair=(s_a, s_b), weight_min=float(vals[idx]), decoder=decoder, pair_index=m)
-
-
-def weight_values(rp: ReceivedPair, ch: ChannelRealization, m: int, const: PamConstellation) -> np.ndarray:
-    """Weights of all candidates, in candidate enumeration order."""
-    return _metric_values(weight_matrix, rp, ch, m, const)
-
-
-def ml_decision_values(
-    rp: ReceivedPair,
-    ch: ChannelRealization,
-    m: int,
-    const: PamConstellation,
-    p: float,
-    sigma2: float,
-) -> np.ndarray:
-    """Likelihood metrics of all candidates, in candidate enumeration order."""
-    return _metric_values(ml_metric_matrix, rp, ch, m, const, p * out_of_pair_sum(ch.h**2, m), sigma2)
-
-
-def decode_pair(rp: ReceivedPair, ch: ChannelRealization, m: int, const: PamConstellation) -> DecodeResult:
-    """Exhaustive weight decoding; ties resolve to the first candidate."""
-    return _decode(WEIGHT, weight_matrix, rp, ch, m, const)
-
-
-def ml_decode_pair(
-    rp: ReceivedPair,
-    ch: ChannelRealization,
-    m: int,
-    const: PamConstellation,
-    p: float,
-    sigma2: float,
-) -> DecodeResult:
-    """Exhaustive full-covariance decoding (the oracle the weight rule tracks).
-
-    Interference symbols are modeled as uniform over the alphabet, hence
-    zero mean and per-symbol power ``p``.
+    ``WEIGHT`` takes the weight argmin. ``ML`` takes the known-beta argmin
+    at K = 2, where beta = 1, and otherwise the full-covariance likelihood,
+    which models the interferers as zero-mean with per-symbol power ``p``
+    in noise of variance ``sigma2``. Ties resolve to the first candidate.
     """
-    return _decode(ML, ml_metric_matrix, rp, ch, m, const, p * out_of_pair_sum(ch.h**2, m), sigma2)
+    k = h.shape[-1]
+    a, b = pair_members(k, m)
+    # A view for the pairs of adjacent symbols; only odd K's last pair copies.
+    h_pair = h[:, a : b + 1] if b == a + 1 else h[:, [a, b]]
+    if decoder == WEIGHT:
+        return cands[argmin_metric(weight_matrix, y, h_pair, cands)]
+    if decoder != ML:
+        raise ValueError(f"unknown decoder {decoder!r}")
+    if p is None or sigma2 is None:
+        raise ValueError("ml decoding needs p and sigma2")
+    if k == 2:
+        return cands[argmin_metric(known_beta_metric_matrix, y, h_pair, cands, 1.0)]
+    ipow = p * out_of_pair_sum(h**2, m)
+    return cands[argmin_metric(ml_metric_matrix, y, h_pair, cands, ipow, sigma2)]
 
 
-def ml_decode_pair_known_beta(
-    rp: ReceivedPair,
-    ch: ChannelRealization,
-    m: int,
-    const: PamConstellation,
-    beta: float,
-) -> DecodeResult:
-    """Exact ML when the dissolution factor is known to the receiver.
+def frame_decode(y, h, cands, decoder=WEIGHT, p=None, sigma2=None) -> np.ndarray:
+    """The K symbols (n, K) of frames observed as ``frame_observe``'s y (n, 1 + M).
 
-    With beta known the observation is Gaussian around v(cand) +
-    beta * v_perp(cand), so ML is nearest-neighbor on that point set. The
-    interference-free frame (K = 2) has beta = 1 deterministically, making
-    this the true optimum there; the weight rule instead stays blind to
-    beta and pays for it.
+    Each pair is decoded by ``pair_decode`` from the shared first use and
+    its own second use. For odd K the last pair repeats s_1, and pair 1's
+    decision of s_1 is kept.
     """
-    return _decode(ML, known_beta_metric_matrix, rp, ch, m, const, beta)
-
-
-def transmit_frame(
-    block: SymbolBlock,
-    ch: ChannelRealization,
-    noise: NoiseModel | None = None,
-    rng: np.random.Generator | None = None,
-) -> list[ReceivedPair]:
-    """All received pairs of one frame; the first observation is shared.
-
-    The shared first use is pair 1's. Noise is drawn for it first, then for
-    each pair's second use in pair order.
-    """
-    y = _dissolve_pairs(block, ch, range(1, num_pairs(block.k) + 1))[1]
-    uses = np.concatenate([y[:1, 0], y[:, 1]])
-    _add_noise(uses, noise, rng)
-    return [ReceivedPair(y1=float(uses[0]), ym=float(ym), pair_index=m) for m, ym in enumerate(uses[1:], 1)]
-
-
-def transmit_and_decode_all(
-    block: SymbolBlock,
-    ch: ChannelRealization,
-    noise: NoiseModel | None,
-    rng: np.random.Generator | None,
-    const: PamConstellation,
-    decoder: str = WEIGHT,
-    p: float | None = None,
-    sigma2: float | None = None,
-) -> list[DecodeResult]:
-    """Transmit one frame and decode every pair from (y_1, y_{m+1})."""
-    rps = transmit_frame(block, ch, noise, rng)
-    results = []
-    for rp in rps:
-        if decoder == WEIGHT:
-            results.append(decode_pair(rp, ch, rp.pair_index, const))
-        elif decoder == ML:
-            if p is None or sigma2 is None:
-                raise ValueError("ml decoding needs p and sigma2")
-            results.append(ml_decode_pair(rp, ch, rp.pair_index, const, p, sigma2))
-        else:
-            raise ValueError(f"unknown decoder {decoder!r}")
-    return results
-
-
-def frame_symbols(results: list[DecodeResult], k: int) -> np.ndarray:
-    """Assemble the K decoded symbols, discarding the odd-K repeated member."""
-    s_hat = np.full(k, np.nan)
-    for res in results:
-        a, b = pair_members(k, res.pair_index)
-        s_hat[a] = res.pair[0]
-        if np.isnan(s_hat[b]):
-            s_hat[b] = res.pair[1]
+    s_hat = np.empty(h.shape)
+    for m in range(num_pairs(h.shape[-1]), 0, -1):
+        s_hat[:, list(pair_members(h.shape[-1], m))] = pair_decode(y[:, [0, m]], h, m, cands, decoder, p, sigma2)
     return s_hat

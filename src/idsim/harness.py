@@ -26,6 +26,15 @@ from . import analysis, baselines, core, model, multicast
 
 DEFAULT_SEED = 12345
 CHUNK = 8192
+N_ANTENNAS = 2
+# The SNR grid's range in dB. Floor: deep-fade resampling keeps every gain
+# at or above model.EPS_GAIN = 1e-3, so from p = 1e-10 up the capacity
+# argument 2 p sum g^2 is at least 4e-16, above the double rounding step of
+# about 2.2e-16, and the rate sweep's mean capacity, a divisor, is never 0.
+# Ceiling: at p = 1e30 the largest values the pair metrics form, squares of
+# products of a few signal-scale terms, stay about 200 decades below the
+# double overflow at 1.8e308.
+SNR_DB_RANGE = (-100.0, 300.0)
 
 _EXPERIMENTS = ("ser", "rate", "dmin", "dof", "multicast")
 _EXP_ID = {name: i for i, name in enumerate(_EXPERIMENTS)}
@@ -66,7 +75,6 @@ class ExperimentConfig:
     emit_plot_data: bool = False
     epsilon: float = 0.1
     sigma2: float = 1.0
-    n_antennas: int = 2
 
     def __post_init__(self) -> None:
         if self.experiment not in _EXPERIMENTS:
@@ -75,8 +83,6 @@ class ExperimentConfig:
             raise ValueError("need at least one trial")
         if self.k < 2:
             raise ValueError("need at least two symbols")
-        if self.n_antennas < 2:
-            raise ValueError("need at least two antennas")
         if self.q_s < 1:
             raise ValueError("half-size must be at least 1")
         if self.decoder not in (core.WEIGHT, core.ML):
@@ -88,6 +94,9 @@ class ExperimentConfig:
             raise ValueError("SNR grid must be nonempty")
         if not np.all(np.isfinite(self.zeta_db_grid)):
             raise ValueError("SNR grid values must be finite")
+        lo, hi = SNR_DB_RANGE
+        if not np.all((self.zeta_db_grid >= lo) & (self.zeta_db_grid <= hi)):
+            raise ValueError(f"SNR grid values must lie in [{lo:g}, {hi:g}] dB")
 
     def power_at(self, zeta_db: float) -> float:
         """Per-symbol power for a grid point; sigma2 = 0 uses a unit reference."""
@@ -247,7 +256,7 @@ def _worker(fn, tasks: list, write_fd: int, inherited_fds: list[int]) -> None:
 
 def _id_frame_batch(cfg, const, n, rng):
     """One chunk of frames: channel, symbols, and pair-1 observations."""
-    h, g = model.draw_channels(cfg.k, cfg.n_antennas, n, rng)
+    h, g = model.draw_channels(cfg.k, N_ANTENNAS, n, rng)
     s = const.draw(rng, size=(n, cfg.k))
     beta, y = core.dissolve(h[:, :2], s[:, :2], core.out_of_pair_sum(h * s, 1))
     y[:, 0] += rng.normal(0.0, np.sqrt(cfg.sigma2), n)
@@ -257,16 +266,7 @@ def _id_frame_batch(cfg, const, n, rng):
 
 def _id_decode_batch(cfg, cands, h, y, p):
     """Decode pair 1 for a chunk; returns decoded pairs (n, 2)."""
-    h_pair = h[:, :2]
-    if cfg.decoder == core.WEIGHT:
-        idx = core.argmin_metric(core.weight_matrix, y, h_pair, cands)
-    elif cfg.k == 2:
-        # beta is deterministically 1 without interferers: exact ML.
-        idx = core.argmin_metric(core.known_beta_metric_matrix, y, h_pair, cands, 1.0)
-    else:
-        ipow = p * core.out_of_pair_sum(h**2, 1)
-        idx = core.argmin_metric(core.ml_metric_matrix, y, h_pair, cands, ipow, cfg.sigma2)
-    return cands[idx]
+    return core.pair_decode(y, h, 1, cands, cfg.decoder, p, cfg.sigma2)
 
 
 def _pair_errors(hat: np.ndarray, s: np.ndarray) -> int:
@@ -336,7 +336,7 @@ def _rate_chunk(cfg, point, rng, chunk_idx, n):
     """
     p, const, cands = point
     if chunk_idx == 0:
-        ch = model.ChannelRealization(*model.draw_channels(cfg.k, cfg.n_antennas, n, rng))
+        ch = model.ChannelRealization(*model.draw_channels(cfg.k, N_ANTENNAS, n, rng))
         c_mean = float(np.mean(analysis.capacity_miso(ch.g, 2.0 * p, cfg.sigma2)))
         return c_mean, float(np.mean(analysis.rate_total(ch, p, cfg.sigma2)))
     h, _, s, _, y = _id_frame_batch(cfg, const, n, rng)

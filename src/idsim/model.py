@@ -1,4 +1,4 @@
-"""Constellations, channel draws, noise, and power accounting.
+"""Constellations with exact power accounting, and channel draws.
 
 Everything random takes an explicit ``numpy.random.Generator`` so results
 are reproducible and trial-parallel safe.
@@ -164,46 +164,3 @@ def draw_channels(k: int, n: int, count: int, rng: np.random.Generator):
     g = _signed_rayleigh(rng, (count, n))
     h = g[:, symbol_antenna_map(k, n)]
     return h, g
-
-
-@dataclass
-class NoiseModel:
-    """Zero-mean AWGN with variance ``sigma2``, independent across uses."""
-
-    sigma2: float
-
-    def __post_init__(self) -> None:
-        if self.sigma2 <= 0:
-            raise ValueError(f"noise variance must be positive, got {self.sigma2}")
-
-    def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
-        return rng.normal(0.0, np.sqrt(self.sigma2), size=size)
-
-
-@dataclass
-class PowerBudget:
-    """Per-symbol power ``p`` with its SNR ``zeta = p / sigma2`` bookkeeping."""
-
-    p: float
-    zeta: float
-    zeta_db: float
-
-    def __post_init__(self) -> None:
-        if self.p <= 0 or self.zeta <= 0:
-            raise ValueError("power and SNR must be positive")
-        if abs(self.zeta_db - 10.0 * np.log10(self.zeta)) > 1e-12 * max(1.0, abs(self.zeta_db)):
-            raise ValueError("zeta_db inconsistent with zeta")
-
-    @property
-    def sigma2(self) -> float:
-        return self.p / self.zeta
-
-    @classmethod
-    def from_power(cls, p: float, sigma2: float) -> "PowerBudget":
-        zeta = p / sigma2
-        return cls(p=p, zeta=zeta, zeta_db=10.0 * np.log10(zeta))
-
-    @classmethod
-    def from_zeta_db(cls, zeta_db: float, sigma2: float = 1.0) -> "PowerBudget":
-        zeta = 10.0 ** (zeta_db / 10.0)
-        return cls(p=zeta * sigma2, zeta=zeta, zeta_db=zeta_db)

@@ -12,8 +12,6 @@ the pair stays separable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import core
@@ -25,16 +23,6 @@ ALPHA_DEFAULT = float(np.sqrt(3.0) / 2.0)
 SYMBOLS_PER_USE = 1.5
 
 
-@dataclass
-class MulticastFrame:
-    """The two transmitted signals and the dissolution bookkeeping."""
-
-    alpha: float
-    beta: float
-    x1: float
-    x2: float
-
-
 def multicast_precode(s: np.ndarray, alpha: float = ALPHA_DEFAULT) -> tuple[np.ndarray, np.ndarray]:
     """Precode frames s = (..., 3) into beta (...,) and the two sent signals (..., 2).
 
@@ -42,12 +30,6 @@ def multicast_precode(s: np.ndarray, alpha: float = ALPHA_DEFAULT) -> tuple[np.n
     gains with alpha*s3 as the interference: x = (s1 + s2 + alpha*s3, s2 - beta*s1).
     """
     return core.dissolve(np.ones(2), s[..., :2], alpha * s[..., 2])
-
-
-def multicast_transmit(s1: float, s2: float, s3: float, alpha: float = ALPHA_DEFAULT) -> MulticastFrame:
-    """Precode (s1, s2, s3) into the two channel uses."""
-    beta, x = multicast_precode(np.array([s1, s2, s3], dtype=float), alpha)
-    return MulticastFrame(alpha=alpha, beta=float(beta), x1=float(x[0]), x2=float(x[1]))
 
 
 def multicast_observe(
@@ -83,29 +65,6 @@ def multicast_decode(
     return np.column_stack([pair, s3])
 
 
-def multicast_receive(
-    frame: MulticastFrame,
-    h_i: float,
-    sigma2: float | None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """User i's two observations (y1, y2)."""
-    return multicast_observe(np.array([frame.x1, frame.x2]), h_i, sigma2, rng)
-
-
-def multicast_receive_decode(
-    frame: MulticastFrame,
-    h_i: float,
-    sigma2: float | None,
-    rng: np.random.Generator | None,
-    const: PamConstellation,
-) -> tuple[float, float]:
-    """Decode (s1, s2) at one user with the weight rule, common gain h_i."""
-    y = multicast_receive(frame, h_i, sigma2, rng)
-    s_hat = multicast_decode(y[None], np.array([h_i]), const, alpha=frame.alpha)
-    return float(s_hat[0, 0]), float(s_hat[0, 1])
-
-
 def multicast_decode_s3(y1_user3, h3, s1_hat, s2_hat, alpha: float, const: PamConstellation):
     """Strip the decoded pair from user 3's first observation and decode s3.
 
@@ -120,31 +79,28 @@ def s3_rate_slope(
     epsilon: float,
     trials: int,
     rng: np.random.Generator,
-    pair_q_s: int = 2,
     alpha: float = ALPHA_DEFAULT,
-    sigma2: float = 1.0,
-    h3: float = 1.0,
 ) -> list[tuple[float, float]]:
     """Fano-rate slope of s3 against (1/2) log2 P at user 3.
 
-    The pair keeps a fixed small alphabet while s3's half-size grows as
-    P^((1-eps)/2), the one-degree-of-freedom scaling. The gain is held
-    fixed (the degrees-of-freedom claim is per realization; unit gain by
-    default). Decoding is end to end, pair first and then the residual,
-    so error propagation is included.
+    The pair keeps the half-size 2 while s3's half-size grows as
+    P^((1-eps)/2), the one-degree-of-freedom scaling. User 3's gain is held
+    at one (the degrees-of-freedom claim is per realization), and the noise
+    variance is one. Decoding is end to end, pair first and then the
+    residual, so error propagation is included.
     """
     out = []
     for p in np.asarray(p_grid, dtype=float):
         q3 = max(1, int(round(p ** ((1.0 - epsilon) / 2.0))))
-        pair_const = constellation_for_power(p, pair_q_s)
+        pair_const = constellation_for_power(p, 2)
         s3_const = constellation_for_power(p, q3)
         errors = 0
         done = 0
         while done < trials:
             n = min(4096, trials - done)
             s = np.column_stack([pair_const.draw(rng, size=(n, 2)), s3_const.draw(rng, size=n)])
-            h = np.full(n, h3)
-            y = multicast_observe(multicast_precode(s, alpha)[1], h, sigma2, rng)
+            h = np.ones(n)
+            y = multicast_observe(multicast_precode(s, alpha)[1], h, 1.0, rng)
             s3_hat = multicast_decode(y, h, pair_const, s3_const, alpha)[:, 2]
             errors += int(np.sum(s3_hat != s[:, 2]))
             done += n

@@ -19,6 +19,7 @@ under 6 dB. The README's "Measured behavior" section carries the
 analysis.
 """
 
+import itertools
 import math
 import time
 from typing import NamedTuple
@@ -507,21 +508,15 @@ def test_criterion_10a_multicast_noiseless_exact():
     for q_s in (1, 2, 3, 4):
         const = model.constellation_for_power(1.0, q_s)
         gains = model._signed_rayleigh(rng, 3)
-        pts = const.points
-        for s1 in pts:
-            for s2 in pts:
-                for s3 in pts:
-                    frame = multicast.multicast_transmit(float(s1), float(s2), float(s3))
-                    for u, h_i in enumerate(gains):
-                        got = multicast.multicast_receive_decode(frame, float(h_i), None, None, const)
-                        if got != (s1, s2):
-                            bad += 1
-                        elif u == 2:
-                            y = multicast.multicast_receive(frame, float(h_i), None)
-                            s3_hat = multicast.multicast_decode_s3(
-                                float(y[0]), float(h_i), got[0], got[1], frame.alpha, const
-                            )
-                            bad += s3_hat != s3
+        s = np.array(list(itertools.product(const.points, repeat=3)))
+        _, x = multicast.multicast_precode(s)
+        for u, h_i in enumerate(gains):
+            h = np.full(len(s), h_i)
+            got = multicast.multicast_decode(multicast.multicast_observe(x, h, None), h, const)
+            pair_wrong = np.any(got[:, :2] != s[:, :2], axis=1)
+            bad += int(np.sum(pair_wrong))
+            if u == 2:
+                bad += int(np.sum(~pair_wrong & (got[:, 2] != s[:, 2])))
     ok = bad == 0
     report("criterion 10a (multicast noiseless exactness)", ok, f"failures={bad}")
     assert ok
@@ -568,7 +563,7 @@ def test_criterion_11_error_bound():
             const = model.constellation_for_power(p, 2)
             s = const.draw(rng, size=4)
             beta = 1.0 + float(g_int @ s[2:]) / (h * s[1])
-            d2 = analysis.dmin_exhaustive((s[0], s[1]), beta, h, const)
+            d2 = float(analysis.dmin_batch(s[None, :2], np.array([(beta - 1.0) * h * s[1]]), np.array([h]), const)[0])
             bound = analysis.pe_upper_bound(d2, 1.0)
             trials = int(np.clip(100.0 / max(bound, 1e-12), 20_000, 1_000_000))
             y0 = np.array([h * (s[0] + beta * s[1]), h * (s[1] - beta * s[0])])

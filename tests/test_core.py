@@ -5,76 +5,73 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idsim import core, model
+from idsim import core, harness, model
 
 RNG = lambda *key: np.random.default_rng(list(key))  # noqa: E731
 
 
-def make_instance(h, s):
-    ch = model.ChannelRealization(h=np.asarray(h, float), g=np.asarray(h, float))
-    blk = core.SymbolBlock(np.asarray(s, float))
-    return blk, ch
+def observe(h, s):
+    """``frame_observe`` of one frame given as sequences: beta (M,), y (1 + M,)."""
+    beta, y = core.frame_observe(np.asarray([h], float), np.asarray([s], float))
+    return beta[0], y[0]
+
+
+def random_frames(seed, k, n, p=1.0, q_s=2):
+    """n frames of K symbols on separate gains: the alphabet, h (n, K) and s (n, K)."""
+    rng = RNG(seed)
+    const = model.constellation_for_power(p, q_s)
+    h, _ = model.draw_channels(k, k, n, rng)
+    return const, h, const.draw(rng, size=(n, k))
 
 
 class TestFirstUseSignal:
     def test_cancellation(self):
-        blk, ch = make_instance([1.0, 1.0], [1.0, -1.0])
-        assert core.first_use_signal(blk, ch) == 0.0
+        assert observe([1.0, 1.0], [1.0, -1.0])[1][0] == 0.0
 
     def test_direct_sum(self):
-        blk, ch = make_instance([1.0, 2.0, 0.5, 1.0], [1.0, 1.0, 2.0, -2.0])
-        assert core.first_use_signal(blk, ch) == pytest.approx(2.0)
+        assert observe([1.0, 2.0, 0.5, 1.0], [1.0, 1.0, 2.0, -2.0])[1][0] == pytest.approx(2.0)
 
     def test_two_symbol_definition(self):
         rng = RNG(0)
         h, s = rng.normal(size=2), rng.normal(size=2)
-        blk, ch = make_instance(h, s)
-        assert core.first_use_signal(blk, ch) == pytest.approx(h @ s, rel=1e-15)
+        assert observe(h, s)[1][0] == pytest.approx(h @ s, rel=1e-15)
 
     def test_size_mismatch(self):
-        blk = core.SymbolBlock(np.ones(3))
-        ch = model.ChannelRealization(h=np.ones(4), g=np.ones(4))
         with pytest.raises(ValueError):
-            core.first_use_signal(blk, ch)
+            core.frame_observe(np.ones((1, 4)), np.ones((1, 3)))
 
 
 class TestDissolutionFactor:
     def test_no_interferers(self):
-        blk, ch = make_instance([0.3, -1.2], [1.0, 2.0])
-        assert core.dissolution_factor(blk, ch, 1) == 1.0
+        assert observe([0.3, -1.2], [1.0, 2.0])[0][0] == 1.0
 
     def test_hand_computed(self):
-        blk, ch = make_instance([1.0, 1.0, 1.0], [1.0, 2.0, 2.0])
-        assert core.dissolution_factor(blk, ch, 1) == pytest.approx(2.0)
+        assert observe([1.0, 1.0, 1.0], [1.0, 2.0, 2.0])[0][0] == pytest.approx(2.0)
 
     def test_identity_random_instances(self):
         """h_a s_a + beta h_b s_b reproduces the full first-use sum."""
-        rng = RNG(42)
-        const = model.constellation_for_power(1.0, 2)
-        for _ in range(200):
-            k = int(rng.integers(2, 9))
-            ch = model.draw_channel(k, k, rng)
-            blk = core.SymbolBlock(const.draw(rng, size=k))
-            total = core.first_use_signal(blk, ch)
+        for k in range(2, 9):
+            _, h, s = random_frames(42, k, 30)
+            beta, y = core.frame_observe(h, s)
+            total = np.sum(h * s, axis=1)
             for m in range(1, core.num_pairs(k) + 1):
                 a, b = core.pair_members(k, m)
-                beta = core.dissolution_factor(blk, ch, m)
-                lhs = ch.h[a] * blk.s[a] + beta * ch.h[b] * blk.s[b]
+                lhs = h[:, a] * s[:, a] + beta[:, m - 1] * h[:, b] * s[:, b]
                 np.testing.assert_allclose(lhs, total, rtol=1e-10, atol=1e-12)
 
     def test_degenerate_guard(self):
-        blk, ch = make_instance([1.0, 1.0], [1.0, 0.0])
         with pytest.raises(ValueError):
-            core.dissolution_factor(blk, ch, 1)
+            observe([1.0, 1.0], [1.0, 0.0])
 
 
 class TestDissolve:
-    """The batched signal model against the scalar frame entry points."""
+    """The batched signal model against the whole-frame engine."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), k=st.integers(2, 8), q_s=st.sampled_from([1, 2, 4]))
     def test_batch_rows_match_scalar_pairs(self, seed, k, q_s):
-        """Seeded channels are generic: every row equals the scalar pair, the
+        """Seeded channels are generic: every pair's rows are the frame
+        engine's, each frame observed alone (n = 1) gives its batch row, the
         first use is sum_k h_k s_k, and the noiseless weight argmin is the pair."""
         rng = RNG(seed)
         n = 16
@@ -82,15 +79,20 @@ class TestDissolve:
         cands = core.candidate_pairs(const)
         h, _ = model.draw_channels(k, k, n, rng)
         s = const.draw(rng, size=(n, k))
+        beta_f, y_f = core.frame_observe(h, s)
+        assert beta_f.shape == (n, core.num_pairs(k)) and y_f.shape == (n, core.channel_uses(k))
+        for i in range(n):
+            beta_i, y_i = core.frame_observe(h[i : i + 1], s[i : i + 1])
+            np.testing.assert_array_equal(beta_i[0], beta_f[i])
+            np.testing.assert_array_equal(y_i[0], y_f[i])
         for m in range(1, core.num_pairs(k) + 1):
             ab = list(core.pair_members(k, m))
             beta, y = core.dissolve(h[:, ab], s[:, ab], core.out_of_pair_sum(h * s, m))
             assert beta.shape == (n,) and y.shape == (n, 2)
-            for i in range(n):
-                blk, ch = make_instance(h[i], s[i])
-                rp = core.transmit_pair(blk, ch, m)
-                assert (y[i, 0], y[i, 1]) == (rp.y1, rp.ym)
-                assert beta[i] == core.dissolution_factor(blk, ch, m)
+            np.testing.assert_array_equal(beta, beta_f[:, m - 1])
+            np.testing.assert_array_equal(y[:, 1], y_f[:, m])
+            if m == 1:
+                np.testing.assert_array_equal(y[:, 0], y_f[:, 0])
             np.testing.assert_array_less(np.abs(y[:, 0] - np.sum(h * s, axis=1)), 1e-12 * np.sum(np.abs(h * s), axis=1))
             hat = cands[core.argmin_metric(core.weight_matrix, y, h[:, ab], cands)]
             np.testing.assert_array_equal(hat, s[:, ab])
@@ -120,35 +122,26 @@ class TestPairing:
 
 class TestTransmitPair:
     def test_noiseless_two_symbols(self):
-        blk, ch = make_instance([1.0, 1.0], [1.0, 1.0])
-        rp = core.transmit_pair(blk, ch, 1)
-        assert (rp.y1, rp.ym) == (2.0, 0.0)
+        assert tuple(observe([1.0, 1.0], [1.0, 1.0])[1]) == (2.0, 0.0)
 
     def test_residual_orthogonal_to_pair_vector(self):
         """Noiseless y - v(true) has no component along v(true)."""
-        rng = RNG(7)
-        const = model.constellation_for_power(2.0, 3)
-        for _ in range(50):
-            ch = model.draw_channel(5, 5, rng)
-            blk = core.SymbolBlock(const.draw(rng, size=5))
-            for m in (1, 2):
-                a, b = core.pair_members(5, m)
-                rp = core.transmit_pair(blk, ch, m)
-                v = np.array([ch.h[a] * blk.s[a], ch.h[b] * blk.s[b]])
-                scale = np.sum(np.abs(rp.y)) * np.linalg.norm(v)
-                assert abs((rp.y - v) @ v) <= 1e-10 * scale
+        _, h, s = random_frames(7, 5, 50, p=2.0, q_s=3)
+        _, y = core.frame_observe(h, s)
+        for m in (1, 2):
+            ab = list(core.pair_members(5, m))
+            y_pair = y[:, [0, m]]
+            v = h[:, ab] * s[:, ab]
+            scale = np.sum(np.abs(y_pair), axis=1) * np.linalg.norm(v, axis=1)
+            assert np.all(np.abs(np.sum((y_pair - v) * v, axis=1)) <= 1e-10 * scale)
 
     def test_noise_variance(self):
-        blk, ch = make_instance([1.0, -0.5], [1.0, 2.0])
-        rng = RNG(3)
-        noise = model.NoiseModel(0.25)
-        y1 = np.array([core.transmit_pair(blk, ch, 1, noise, rng).y1 for _ in range(50_000)])
-        assert np.var(y1) == pytest.approx(0.25, rel=0.05)
-
-    def test_rng_required_with_noise(self):
-        blk, ch = make_instance([1.0, 1.0], [1.0, 1.0])
-        with pytest.raises(ValueError):
-            core.transmit_pair(blk, ch, 1, model.NoiseModel(1.0), None)
+        """The sweeps' pair observations carry AWGN of the configured variance."""
+        cfg = harness.ExperimentConfig("ser", sigma2=0.25)
+        const = model.constellation_for_power(1.0, 2)
+        h, _, s, _, y = harness._id_frame_batch(cfg, const, 50_000, RNG(3))
+        noise = y - core.frame_observe(h, s)[1]
+        np.testing.assert_allclose(np.var(noise, axis=0), [0.25, 0.25], rtol=0.05)
 
 
 class TestOrthogonality:
@@ -166,36 +159,33 @@ class TestOrthogonality:
 
 class TestWeight:
     def test_true_pair_noiseless_zero(self):
-        rng = RNG(13)
-        const = model.constellation_for_power(1.0, 2)
-        ch = model.draw_channel(4, 4, rng)
-        blk = core.SymbolBlock(const.draw(rng, size=4))
-        rp = core.transmit_pair(blk, ch, 1)
-        w = core.weight(rp, (blk.s[0], blk.s[1]), ch, 1)
-        assert w <= 1e-10 * np.sum(np.abs(rp.y))
+        _, h, s = random_frames(13, 4, 1)
+        _, y = core.frame_observe(h, s)
+        w = core.weight_matrix(y[:, :2], h[:, :2], s[:, :2])
+        assert w[0, 0] <= 1e-10 * np.sum(np.abs(y[0, :2]))
 
     def test_hand_computed(self):
         """k=3, unit gains, s=(1,2,2): y=(5,0) and w(2,1) = sqrt(5)."""
-        blk, ch = make_instance([1.0, 1.0, 1.0], [1.0, 2.0, 2.0])
-        rp = core.transmit_pair(blk, ch, 1)
-        assert (rp.y1, rp.ym) == (5.0, 0.0)
-        assert core.weight(rp, (2.0, 1.0), ch, 1) == pytest.approx(np.sqrt(5.0), rel=1e-12)
+        _, y = observe([1.0, 1.0, 1.0], [1.0, 2.0, 2.0])
+        assert (y[0], y[1]) == (5.0, 0.0)
+        w = core.weight_matrix(y[None, :2], np.ones((1, 2)), np.array([[2.0, 1.0]]))
+        assert w[0, 0] == pytest.approx(np.sqrt(5.0), rel=1e-12)
 
     def test_expansion_identity(self):
         """w agrees with the explicit residual expansion for any candidate."""
-        rng = RNG(17)
-        const = model.constellation_for_power(1.5, 2)
-        ch = model.draw_channel(4, 4, rng)
-        blk = core.SymbolBlock(const.draw(rng, size=4))
-        beta = core.dissolution_factor(blk, ch, 1)
-        rp = core.transmit_pair(blk, ch, 1)
-        v_t = np.array([ch.h[0] * blk.s[0], ch.h[1] * blk.s[1]])
+        const, h, s = random_frames(17, 4, 1, p=1.5)
+        h, s = h[0], s[0]
+        beta, y = observe(h, s)
+        v_t = h[:2] * s[:2]
         vperp_t = np.array([v_t[1], -v_t[0]])
         pts = const.points
-        for cand in [(pts[0], pts[3]), (pts[2], pts[1]), (pts[1], pts[1])]:
-            v_c = np.array([ch.h[0] * cand[0], ch.h[1] * cand[1]])
-            expected = abs((v_t - v_c + beta * vperp_t) @ v_c) / np.linalg.norm(v_c)
-            assert core.weight(rp, cand, ch, 1) == pytest.approx(expected, rel=1e-10)
+        cands = np.array([(pts[0], pts[3]), (pts[2], pts[1]), (pts[1], pts[1])])
+        w = core.weight_matrix(y[None, :2], h[None, :2], cands)[0]
+        for cand, got in zip(cands, w):
+            v_c = h[:2] * cand
+            expected = abs((v_t - v_c + beta[0] * vperp_t) @ v_c) / np.linalg.norm(v_c)
+            assert got == pytest.approx(expected, rel=1e-10)
+
 
     def test_grid_matches_matrix_and_scalar(self):
         rng = RNG(19)
@@ -208,6 +198,38 @@ class TestWeight:
             np.testing.assert_allclose(
                 grid[:, t, :], core.weight_matrix(y[:, t, :], h, cands), rtol=1e-9, atol=1e-12
             )
+
+
+class TestWeightIsGlrt:
+    """The weight rule is a GLRT: {v, v_perp} / ||v|| is an orthonormal basis,
+    so weight^2 = min over beta of ||y - v - beta v_perp||^2, the likelihood
+    metric with the dissolution factor an unknown real parameter."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        q_s=st.sampled_from([1, 2, 8]),
+        snr_db=st.floats(0.0, 60.0),
+        k=st.sampled_from([2, 3, 4]),
+    )
+    def test_weight_squared_is_min_over_beta(self, seed, q_s, snr_db, k):
+        """Against the least-squares beta on the (n, C, 2) candidate vectors:
+        values agree to 32 eps of the signal scale (||y|| + ||v||)^2, and every
+        argmin is equal."""
+        n = 64
+        const, h, s = random_frames(seed, k, n, p=10.0 ** (snr_db / 10.0), q_s=q_s)
+        cands = core.candidate_pairs(const)
+        y = core.frame_observe(h, s)[1][:, :2] + RNG(seed, 1).normal(size=(n, 2))
+        h_pair = h[:, :2]
+        v = h_pair[:, None, :] * cands
+        v_perp = np.stack([v[..., 1], -v[..., 0]], axis=-1)
+        d = y[:, None, :] - v
+        beta = np.sum(d * v_perp, axis=-1) / np.sum(v_perp * v_perp, axis=-1)
+        glrt = np.sum((d - beta[..., None] * v_perp) ** 2, axis=-1)
+        w2 = core.weight_matrix(y, h_pair, cands) ** 2
+        scale = (np.linalg.norm(y, axis=1)[:, None] + np.linalg.norm(v, axis=-1)) ** 2
+        assert np.all(np.abs(w2 - glrt) <= 32 * np.finfo(float).eps * scale)
+        np.testing.assert_array_equal(np.argmin(w2, axis=1), np.argmin(glrt, axis=1))
 
 
 # Reference kernels: the pair metrics written directly over the (n, C, 2)
@@ -350,14 +372,10 @@ class TestArgminMetric:
 
 class TestDecodePair:
     def test_noiseless_recovery_random(self):
-        rng = RNG(23)
-        const = model.constellation_for_power(1.0, 2)
-        for _ in range(100):
-            ch = model.draw_channel(4, 4, rng)
-            blk = core.SymbolBlock(const.draw(rng, size=4))
-            res = core.decode_pair(core.transmit_pair(blk, ch, 1), ch, 1, const)
-            assert res.pair == (blk.s[0], blk.s[1])
-            assert res.decoder == core.WEIGHT
+        const, h, s = random_frames(23, 4, 100)
+        _, y = core.frame_observe(h, s)
+        hat = core.pair_decode(y[:, :2], h, 1, core.candidate_pairs(const))
+        np.testing.assert_array_equal(hat, s[:, :2])
 
     def test_degenerate_unit_gain_tie(self):
         """All-unit gains are a measure-zero channel with two zero-weight
@@ -366,67 +384,60 @@ class TestDecodePair:
         Brute force over the 16 candidates: w(1,2) = w(1,-2) = 0.
         """
         const = model.PamConstellation(1.0, 2)
-        blk, ch = make_instance([1.0, 1.0, 1.0], [1.0, 2.0, 2.0])
-        rp = core.transmit_pair(blk, ch, 1)
+        cands = core.candidate_pairs(const)
+        h = np.ones((1, 3))
+        _, y = core.frame_observe(h, np.array([[1.0, 2.0, 2.0]]))
+        y = y[:, :2]
         zero_set = {(1.0, 2.0), (1.0, -2.0)}
-        for cand in zero_set:
-            assert core.weight(rp, cand, ch, 1) == pytest.approx(0.0, abs=1e-12)
-        res1 = core.decode_pair(rp, ch, 1, const)
-        res2 = core.decode_pair(rp, ch, 1, const)
-        assert res1.pair in zero_set
-        assert res1.pair == res2.pair
-        assert res1.weight_min == pytest.approx(0.0, abs=1e-12)
+        w = core.weight_matrix(y, h[:, :2], np.array(sorted(zero_set)))
+        np.testing.assert_allclose(w, 0.0, atol=1e-12)
+        res1 = core.pair_decode(y, h, 1, cands)[0]
+        res2 = core.pair_decode(y, h, 1, cands)[0]
+        assert tuple(res1) in zero_set
+        np.testing.assert_array_equal(res1, res2)
+        assert np.min(core.weight_matrix(y, h[:, :2], cands)) == pytest.approx(0.0, abs=1e-12)
 
     def test_totality_under_heavy_noise(self):
-        rng = RNG(29)
-        const = model.constellation_for_power(1.0, 2)
-        ch = model.draw_channel(2, 2, rng)
-        blk = core.SymbolBlock(const.draw(rng, size=2))
-        noise = model.NoiseModel(1e6)
-        for _ in range(20):
-            res = core.decode_pair(core.transmit_pair(blk, ch, 1, noise, rng), ch, 1, const)
-            assert res.pair[0] in const.points and res.pair[1] in const.points
+        const, h, s = random_frames(29, 2, 1)
+        _, y = core.frame_observe(np.repeat(h, 20, axis=0), np.repeat(s, 20, axis=0))
+        y += RNG(29, 1).normal(0.0, 1e3, size=y.shape)
+        hat = core.pair_decode(y, np.repeat(h, 20, axis=0), 1, core.candidate_pairs(const))
+        assert np.isin(hat, const.points).all()
 
 
 class TestMlDecodePair:
     def test_metric_value_true_pair_two_ways(self):
         """Noiseless metric at the true pair equals s2 (b vperp)^T C^-1 (b vperp),
         via explicit inverse and via a linear solve, to 1e-10."""
-        rng = RNG(31)
         p, sigma2 = 2.0, 0.3
-        const = model.constellation_for_power(p, 2)
+        const, h, s = random_frames(31, 4, 25, p=p)
         cands = core.candidate_pairs(const)
-        for _ in range(25):
-            ch = model.draw_channel(4, 4, rng)
-            blk = core.SymbolBlock(const.draw(rng, size=4))
-            beta = core.dissolution_factor(blk, ch, 1)
-            rp = core.transmit_pair(blk, ch, 1)
-            vals = core.ml_decision_values(rp, ch, 1, const, p, sigma2)
-            idx = int(np.where((cands[:, 0] == blk.s[0]) & (cands[:, 1] == blk.s[1]))[0][0])
-            v = np.array([ch.h[0] * blk.s[0], ch.h[1] * blk.s[1]])
+        beta, y = core.frame_observe(h, s)
+        vals = core.ml_metric_matrix(y[:, :2], h[:, :2], cands, p * np.sum(h[:, 2:] ** 2, axis=1), sigma2)
+        for i in range(len(h)):
+            idx = int(np.where((cands[:, 0] == s[i, 0]) & (cands[:, 1] == s[i, 1]))[0][0])
+            v = h[i, :2] * s[i, :2]
             vperp = np.array([v[1], -v[0]])
-            eta2 = p * np.sum(ch.h[2:] ** 2) / (ch.h[1] * blk.s[1]) ** 2
+            eta2 = p * np.sum(h[i, 2:] ** 2) / (h[i, 1] * s[i, 1]) ** 2
             cov = eta2 * np.outer(vperp, vperp) + sigma2 * np.eye(2)
-            d = beta * vperp
+            d = beta[i, 0] * vperp
             via_inv = sigma2 * d @ np.linalg.inv(cov) @ d
             via_solve = sigma2 * d @ np.linalg.solve(cov, d)
             np.testing.assert_allclose(via_inv, via_solve, rtol=1e-10)
-            np.testing.assert_allclose(vals[idx], via_inv, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(vals[i, idx], via_inv, rtol=1e-10, atol=1e-12)
 
     def test_k2_reduces_to_nearest_neighbor_on_v(self):
         """Without interferers eta^2 = 0 and C = s2 I, so the metric is
-        ||y - v(cand)||^2; the deterministic-dissolution optimum is covered
-        by ml_decode_pair_known_beta instead."""
-        rng = RNG(37)
+        ||y - v(cand)||^2; the deterministic-dissolution optimum is the
+        known-beta metric instead, which pair_decode uses at K = 2."""
         p, sigma2 = 1.0, 0.5
-        const = model.constellation_for_power(p, 2)
-        ch = model.draw_channel(2, 2, rng)
-        blk = core.SymbolBlock(const.draw(rng, size=2))
-        rp = core.transmit_pair(blk, ch, 1, model.NoiseModel(sigma2), rng)
-        vals = core.ml_decision_values(rp, ch, 1, const, p, sigma2)
+        const, h, s = random_frames(37, 2, 1, p=p)
         cands = core.candidate_pairs(const)
-        v = ch.h[None, :] * cands
-        np.testing.assert_allclose(vals, np.sum((rp.y[None, :] - v) ** 2, axis=1), rtol=1e-12)
+        _, y = core.frame_observe(h, s)
+        y += RNG(37, 1).normal(0.0, np.sqrt(sigma2), size=y.shape)
+        vals = core.ml_metric_matrix(y, h, cands, p * core.out_of_pair_sum(h**2, 1), sigma2)[0]
+        v = h * cands
+        np.testing.assert_allclose(vals, np.sum((y - v) ** 2, axis=1), rtol=1e-12)
 
     def test_zero_denominator_gives_no_correction(self):
         """With no interferers and no noise the covariance is zero; the
@@ -441,16 +452,14 @@ class TestMlDecodePair:
 
     def test_low_noise_agrees_with_weight_decoder(self):
         """As sigma2 -> 0 the likelihood metric orders like the weight."""
-        rng = RNG(41)
         p, sigma2 = 1.0, 1e-12
-        const = model.constellation_for_power(p, 2)
-        for _ in range(100):
-            ch = model.draw_channel(4, 4, rng)
-            blk = core.SymbolBlock(const.draw(rng, size=4))
-            rp = core.transmit_pair(blk, ch, 1, model.NoiseModel(sigma2), rng)
-            w_res = core.decode_pair(rp, ch, 1, const)
-            ml_res = core.ml_decode_pair(rp, ch, 1, const, p, sigma2)
-            assert w_res.pair == ml_res.pair
+        const, h, s = random_frames(41, 4, 100, p=p)
+        cands = core.candidate_pairs(const)
+        _, y = core.frame_observe(h, s)
+        y = y[:, :2] + RNG(41, 1).normal(0.0, np.sqrt(sigma2), size=(100, 2))
+        w_hat = core.pair_decode(y, h, 1, cands)
+        ml_hat = core.pair_decode(y, h, 1, cands, core.ML, p, sigma2)
+        np.testing.assert_array_equal(w_hat, ml_hat)
 
     def test_eta2_matches_dissolution_factor_variance(self):
         """Sample variance of beta over 1e6 interference draws matches
@@ -467,77 +476,80 @@ class TestMlDecodePair:
         assert np.mean(beta) == pytest.approx(1.0, rel=0.01)
 
     def test_known_beta_is_exact_ml_for_k2(self):
-        """With beta = 1 known, decoding is nearest-neighbor on v + vperp."""
-        rng = RNG(47)
-        const = model.constellation_for_power(1.0, 2)
+        """With beta = 1 known, ML decoding at K = 2 is nearest-neighbor on v + vperp."""
+        const, h, s = random_frames(47, 2, 50)
         cands = core.candidate_pairs(const)
-        ch = model.draw_channel(2, 2, rng)
-        blk = core.SymbolBlock(const.draw(rng, size=2))
-        rp = core.transmit_pair(blk, ch, 1, model.NoiseModel(0.5), rng)
-        res = core.ml_decode_pair_known_beta(rp, ch, 1, const, beta=1.0)
-        v = ch.h[None, :] * cands
-        z = np.stack([v[:, 0] + v[:, 1], v[:, 1] - v[:, 0]], axis=-1)
-        best = cands[np.argmin(np.sum((rp.y[None, :] - z) ** 2, axis=1))]
-        assert res.pair == (best[0], best[1])
+        _, y = core.frame_observe(h, s)
+        y += RNG(47, 1).normal(0.0, np.sqrt(0.5), size=y.shape)
+        hat = core.pair_decode(y, h, 1, cands, core.ML, 1.0, 0.5)
+        v = h[:, None, :] * cands
+        z = np.stack([v[..., 0] + v[..., 1], v[..., 1] - v[..., 0]], axis=-1)
+        best = cands[np.argmin(np.sum((y[:, None, :] - z) ** 2, axis=-1), axis=1)]
+        np.testing.assert_array_equal(hat, best)
+        assert 0 < np.mean(np.any(hat != s, axis=1)) < 1
 
     def test_known_beta_noiseless_exact(self):
-        rng = RNG(53)
-        const = model.constellation_for_power(1.0, 2)
-        for _ in range(50):
-            ch = model.draw_channel(2, 2, rng)
-            blk = core.SymbolBlock(const.draw(rng, size=2))
-            rp = core.transmit_pair(blk, ch, 1)
-            res = core.ml_decode_pair_known_beta(rp, ch, 1, const, beta=1.0)
-            assert res.pair == (blk.s[0], blk.s[1])
+        const, h, s = random_frames(53, 2, 50)
+        _, y = core.frame_observe(h, s)
+        np.testing.assert_array_equal(core.pair_decode(y, h, 1, core.candidate_pairs(const), core.ML, 1.0, 1.0), s)
 
 
 class TestFrame:
     def test_k4_noiseless_exact_three_uses(self):
-        rng = RNG(59)
-        const = model.constellation_for_power(1.0, 2)
-        ch = model.draw_channel(4, 4, rng)
-        blk = core.SymbolBlock(const.draw(rng, size=4))
-        results = core.transmit_and_decode_all(blk, ch, None, None, const)
-        assert len(results) == 2 and core.channel_uses(4) == 3
-        np.testing.assert_array_equal(core.frame_symbols(results, 4), blk.s)
+        const, h, s = random_frames(59, 4, 1)
+        _, y = core.frame_observe(h, s)
+        assert y.shape == (1, 3) and core.channel_uses(4) == 3
+        np.testing.assert_array_equal(core.frame_decode(y, h, core.candidate_pairs(const)), s)
 
     def test_k5_counting_and_recovery(self):
         """Odd frame: 3 pairs, 4 uses, 5/4 symbols per use, exact recovery."""
-        rng = RNG(61)
-        const = model.constellation_for_power(1.0, 2)
-        ch = model.draw_channel(5, 5, rng)
-        blk = core.SymbolBlock(const.draw(rng, size=5))
-        results = core.transmit_and_decode_all(blk, ch, None, None, const)
-        assert len(results) == 3
+        const, h, s = random_frames(61, 5, 1)
+        beta, y = core.frame_observe(h, s)
+        assert beta.shape == (1, 3) and y.shape == (1, 4)
         assert core.channel_uses(5) == 4
         assert 5 / core.channel_uses(5) == pytest.approx(1.25)
-        np.testing.assert_array_equal(core.frame_symbols(results, 5), blk.s)
+        np.testing.assert_array_equal(core.frame_decode(y, h, core.candidate_pairs(const)), s)
 
     def test_shared_first_observation(self):
-        rng = RNG(67)
-        const = model.constellation_for_power(1.0, 2)
-        ch = model.draw_channel(6, 6, rng)
-        blk = core.SymbolBlock(const.draw(rng, size=6))
-        rps = core.transmit_frame(blk, ch, model.NoiseModel(1.0), rng)
-        assert len({rp.y1 for rp in rps}) == 1
+        """One first use serves every pair: it is each pair's own first use."""
+        _, h, s = random_frames(67, 6, 20)
+        _, y = core.frame_observe(h, s)
+        assert y.shape == (20, 1 + core.num_pairs(6))
+        for m in range(1, core.num_pairs(6) + 1):
+            ab = list(core.pair_members(6, m))
+            own = core.dissolve(h[:, ab], s[:, ab], core.out_of_pair_sum(h * s, m))[1][:, 0]
+            np.testing.assert_allclose(own, y[:, 0], rtol=1e-12, atol=1e-12)
+
+    def test_odd_k_keeps_pair_one_decision(self):
+        """For odd K the last pair repeats s_1; pair 1's decision of it is kept
+        even when the last pair's second use is wrecked."""
+        const, h, s = random_frames(69, 5, 30)
+        cands = core.candidate_pairs(const)
+        _, y = core.frame_observe(h, s)
+        y[:, 3] += 1e3
+        s_hat = core.frame_decode(y, h, cands)
+        last = core.pair_decode(y[:, [0, 3]], h, 3, cands)
+        assert np.any(last[:, 1] != s[:, 0])
+        np.testing.assert_array_equal(s_hat[:, :4], s[:, :4])
+        np.testing.assert_array_equal(s_hat[:, 4], last[:, 0])
 
     def test_ml_frame_decoding(self):
-        rng = RNG(71)
-        const = model.constellation_for_power(1.0, 2)
-        ch = model.draw_channel(4, 4, rng)
-        blk = core.SymbolBlock(const.draw(rng, size=4))
-        results = core.transmit_and_decode_all(
-            blk, ch, None, None, const, decoder=core.ML, p=1.0, sigma2=1e-9
-        )
-        np.testing.assert_array_equal(core.frame_symbols(results, 4), blk.s)
+        const, h, s = random_frames(71, 4, 10)
+        _, y = core.frame_observe(h, s)
+        s_hat = core.frame_decode(y, h, core.candidate_pairs(const), core.ML, p=1.0, sigma2=1e-9)
+        np.testing.assert_array_equal(s_hat, s)
 
     def test_ml_frame_requires_parameters(self):
-        rng = RNG(73)
-        const = model.constellation_for_power(1.0, 2)
-        ch = model.draw_channel(4, 4, rng)
-        blk = core.SymbolBlock(const.draw(rng, size=4))
+        const, h, s = random_frames(73, 4, 1)
+        _, y = core.frame_observe(h, s)
         with pytest.raises(ValueError):
-            core.transmit_and_decode_all(blk, ch, None, None, const, decoder=core.ML)
+            core.frame_decode(y, h, core.candidate_pairs(const), core.ML)
+
+    def test_unknown_decoder_rejected(self):
+        const, h, s = random_frames(73, 4, 1)
+        _, y = core.frame_observe(h, s)
+        with pytest.raises(ValueError):
+            core.frame_decode(y, h, core.candidate_pairs(const), "viterbi")
 
     def test_second_use_power(self):
         """Realized second-use power is beta^2 s_a^2 + s_b^2, not renormalized."""
@@ -550,12 +562,11 @@ class TestFrame:
 
 class TestDeterminism:
     def test_identical_inputs_identical_outputs(self):
-        rng = RNG(79)
-        const = model.constellation_for_power(1.0, 2)
-        ch = model.draw_channel(4, 4, rng)
-        blk = core.SymbolBlock(const.draw(rng, size=4))
-        rp = core.transmit_pair(blk, ch, 1, model.NoiseModel(10.0), rng)
-        first = core.decode_pair(rp, ch, 1, const)
+        const, h, s = random_frames(79, 4, 50)
+        cands = core.candidate_pairs(const)
+        _, y = core.frame_observe(h, s)
+        y = y[:, :2] + RNG(79, 1).normal(0.0, np.sqrt(10.0), size=(50, 2))
+        first = core.pair_decode(y, h, 1, cands)
         for _ in range(5):
-            again = core.decode_pair(rp, ch, 1, const)
-            assert again.pair == first.pair and again.weight_min == first.weight_min
+            np.testing.assert_array_equal(core.pair_decode(y, h, 1, cands), first)
+            np.testing.assert_array_equal(core.pair_decode(y[::-1], h[::-1], 1, cands), first[::-1])

@@ -1,4 +1,4 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion, warning-free."""
 
 import glob
 import os
@@ -18,7 +18,13 @@ def test_demos_found():
 
 @pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
 def test_demo_runs(path):
+    """Under the test suite's warning policy, with nothing on stderr."""
     res = subprocess.run(
-        [sys.executable, path], env=subprocess_env(os.environ), capture_output=True, text=True, timeout=300
+        [sys.executable, "-W", "error::RuntimeWarning", path],
+        env=subprocess_env(os.environ),
+        capture_output=True,
+        text=True,
+        timeout=300,
     )
     assert res.returncode == 0, res.stderr
+    assert res.stderr == ""

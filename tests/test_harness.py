@@ -51,6 +51,8 @@ class TestConfigValidation:
             dict(zeta_db_grid=[]),
             dict(zeta_db_grid=[float("nan")]),
             dict(zeta_db_grid=[0.0, float("inf")]),
+            dict(zeta_db_grid=[0.0, 300.5]),
+            dict(zeta_db_grid=[-100.5]),
         ],
     )
     def test_rejects_bad_config(self, kw):
@@ -422,6 +424,36 @@ class TestCliEndToEnd:
     def test_non_finite_snr_exits_nonzero(self, snr, capsys):
         assert cli.main(["ser", "--snr-db", snr, "--trials", "10"]) == 1
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("ser", "--snr-db", "4000"),
+            ("rate", "--snr-db", "4000"),
+            ("multicast", "--snr-db", "4000"),
+            ("multicast", "--snr-db", "3070"),
+            ("dof", "--snr-db", "4000"),
+            ("rate", "--snr-db=-300"),
+            ("ser", "--snr-db", "0,300.5"),
+            ("ser", "--snr-db=-100.5,0"),
+        ],
+    )
+    def test_snr_outside_range_exits_nonzero(self, args, tmp_path):
+        """Beyond [-100, 300] dB the sweeps overflow, or the rate sweep divides
+        by a zero capacity: the run stops before it starts, without a traceback."""
+        out = tmp_path / "out.csv"
+        res = self.run_cli(*args, "--trials", "10", "--out", str(out))
+        assert res.returncode == 1
+        assert res.stderr.startswith("idsim: error:") and "[-100, 300] dB" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", ["ser", "rate", "multicast"])
+    def test_snr_range_ends_give_finite_rows(self, experiment, capsys):
+        assert cli.main([experiment, "--snr-db=-100,300", "--trials", "200"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        fields = [f for line in lines[1:] for f in line.split(",")[2:] if f]
+        assert len(lines) > 1 and np.all(np.isfinite([float(f) for f in fields]))
 
     @pytest.mark.parametrize("snr", ["0:10:20", "-10,20"])
     def test_dof_at_or_below_0db_exits_nonzero(self, snr, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idsim import model
+from idsim import harness, model, multicast
 
 SEED_MOMENTS = 2001
 SEED_REPRO = 77
@@ -164,45 +164,40 @@ class TestChannelDraws:
 
 
 class TestNoise:
+    """The AWGN the multicast sweep adds, one draw per observation."""
+
+    @staticmethod
+    def noise(sigma2, seed, n):
+        x = np.zeros((n, 2))
+        return multicast.multicast_observe(x, np.ones(n), sigma2, np.random.default_rng(seed)).ravel()
+
     def test_unit_variance(self):
-        rng = np.random.default_rng(SEED_MOMENTS)
-        x = model.NoiseModel(1.0).sample(rng, size=1_000_000)
+        x = self.noise(1.0, SEED_MOMENTS, 500_000)
         assert np.var(x) == pytest.approx(1.0, abs=0.01)
         assert np.mean(x) == pytest.approx(0.0, abs=0.01)
 
     def test_scaled_std(self):
-        rng = np.random.default_rng(SEED_MOMENTS)
-        x = model.NoiseModel(4.0).sample(rng, size=1_000_000)
+        x = self.noise(4.0, SEED_MOMENTS, 500_000)
         assert np.std(x) == pytest.approx(2.0, abs=0.02)
 
     def test_reproducible(self):
-        a = model.NoiseModel(1.0).sample(np.random.default_rng(5), size=8)
-        b = model.NoiseModel(1.0).sample(np.random.default_rng(5), size=8)
-        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(self.noise(1.0, 5, 4), self.noise(1.0, 5, 4))
 
     def test_invalid_variance(self):
+        """The sweeps' noise variance is validated where it is set."""
         with pytest.raises(ValueError):
-            model.NoiseModel(0.0)
+            harness.ExperimentConfig("ser", sigma2=-1.0)
 
 
 class TestPowerBudget:
+    """A grid point's per-symbol power is zeta * sigma2, zeta = 10^(dB / 10)."""
+
     def test_from_power(self):
-        pb = model.PowerBudget.from_power(10.0, 2.0)
-        assert pb.zeta == pytest.approx(5.0)
-        assert pb.zeta_db == pytest.approx(10.0 * np.log10(5.0), rel=1e-14)
-        assert pb.sigma2 == pytest.approx(2.0)
+        cfg = harness.ExperimentConfig("ser", sigma2=2.0)
+        assert cfg.power_at(10.0 * np.log10(5.0)) == pytest.approx(10.0, rel=1e-14)
 
     def test_from_zeta_db(self):
-        pb = model.PowerBudget.from_zeta_db(30.0)
-        assert pb.p == pytest.approx(1000.0)
-
-    def test_inconsistent_rejected(self):
-        with pytest.raises(ValueError):
-            model.PowerBudget(p=1.0, zeta=1.0, zeta_db=3.0)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            model.PowerBudget(p=-1.0, zeta=1.0, zeta_db=0.0)
+        assert harness.ExperimentConfig("ser").power_at(30.0) == pytest.approx(1000.0)
 
 
 @settings(max_examples=30)

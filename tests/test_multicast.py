@@ -8,29 +8,38 @@ import pytest
 from idsim import model, multicast
 
 
+ALPHA = multicast.ALPHA_DEFAULT
+
+
 class TestTransmit:
     def test_dissolution_factor_hand_computed(self):
         """s = (1, 1, 2) with alpha = sqrt(3)/2 gives beta = 1 + sqrt(3)."""
-        frame = multicast.multicast_transmit(1.0, 1.0, 2.0)
-        assert frame.beta == pytest.approx(1.0 + np.sqrt(3.0), rel=1e-14)
+        beta, _ = multicast.multicast_precode(np.array([1.0, 1.0, 2.0]))
+        assert beta == pytest.approx(1.0 + np.sqrt(3.0), rel=1e-14)
 
     def test_first_use_identity(self):
         """s1 + s2 + alpha s3 equals s1 + beta s2 by construction of beta."""
         rng = np.random.default_rng(1)
         const = model.constellation_for_power(2.0, 3)
-        for _ in range(200):
-            s1, s2, s3 = const.draw(rng, size=3)
-            frame = multicast.multicast_transmit(s1, s2, s3)
-            np.testing.assert_allclose(frame.x1, s1 + frame.beta * s2, rtol=1e-12)
-            np.testing.assert_allclose(frame.beta * s2 - frame.alpha * s3, s2, rtol=1e-12)
+        s = const.draw(rng, size=(200, 3))
+        beta, x = multicast.multicast_precode(s)
+        np.testing.assert_allclose(x[:, 0], s[:, 0] + beta * s[:, 1], rtol=1e-12)
+        np.testing.assert_allclose(beta * s[:, 1] - ALPHA * s[:, 2], s[:, 1], rtol=1e-12)
 
     def test_default_alpha(self):
-        frame = multicast.multicast_transmit(1.0, 1.0, 1.0)
-        assert frame.alpha == pytest.approx(np.sqrt(3.0) / 2.0, rel=1e-15)
+        s = np.array([1.0, 1.0, 1.0])
+        assert ALPHA == pytest.approx(np.sqrt(3.0) / 2.0, rel=1e-15)
+        for got, expected in zip(multicast.multicast_precode(s), multicast.multicast_precode(s, np.sqrt(3.0) / 2.0)):
+            np.testing.assert_array_equal(got, expected)
 
     def test_zero_s2_rejected(self):
         with pytest.raises(ValueError):
-            multicast.multicast_transmit(1.0, 0.0, 1.0)
+            multicast.multicast_precode(np.array([1.0, 0.0, 1.0]))
+
+
+def every_frame(const):
+    """All (2 q_s)^3 symbol triples, s1 major."""
+    return np.array(list(itertools.product(const.points, repeat=3)))
 
 
 class TestReceiveDecode:
@@ -38,19 +47,20 @@ class TestReceiveDecode:
         rng = np.random.default_rng(3)
         const = model.constellation_for_power(1.0, 2)
         gains = model._signed_rayleigh(rng, 3)
-        for s1, s2, s3 in itertools.product(const.points, repeat=3):
-            frame = multicast.multicast_transmit(s1, s2, s3)
-            for h_i in gains:
-                got = multicast.multicast_receive_decode(frame, float(h_i), None, None, const)
-                assert got == (s1, s2)
+        s = every_frame(const)
+        _, x = multicast.multicast_precode(s)
+        for h_i in gains:
+            h = np.full(len(s), h_i)
+            got = multicast.multicast_decode(multicast.multicast_observe(x, h, None), h, const)
+            np.testing.assert_array_equal(got[:, :2], s[:, :2])
 
     def test_totality_under_heavy_noise(self):
         rng = np.random.default_rng(5)
         const = model.constellation_for_power(1.0, 2)
-        frame = multicast.multicast_transmit(1.0, 1.0, const.points[0])
-        for _ in range(20):
-            got = multicast.multicast_receive_decode(frame, 0.8, 1e6, rng, const)
-            assert got[0] in const.points and got[1] in const.points
+        _, x = multicast.multicast_precode(np.tile([1.0, 1.0, const.points[0]], (20, 1)))
+        h = np.full(20, 0.8)
+        got = multicast.multicast_decode(multicast.multicast_observe(x, h, 1e6, rng), h, const)
+        assert np.isin(got[:, :2], const.points).all()
 
 
 class TestDecodeS3:
@@ -58,20 +68,19 @@ class TestDecodeS3:
         """With the correct pair removed the residual is alpha h3 s3."""
         rng = np.random.default_rng(7)
         const = model.constellation_for_power(1.0, 2)
-        for s3 in const.points:
-            frame = multicast.multicast_transmit(1.0, -1.0, s3)
-            h3 = float(model._signed_rayleigh(rng, ()))
-            y = multicast.multicast_receive(frame, h3, None)
-            got = multicast.multicast_decode_s3(float(y[0]), h3, 1.0, -1.0, frame.alpha, const)
-            assert got == s3
+        s = np.column_stack([np.ones(const.size), -np.ones(const.size), const.points])
+        h3 = model._signed_rayleigh(rng, const.size)
+        y = multicast.multicast_observe(multicast.multicast_precode(s)[1], h3, None)
+        got = multicast.multicast_decode_s3(y[:, 0], h3, 1.0, -1.0, ALPHA, const)
+        np.testing.assert_array_equal(got, const.points)
 
     def test_pair_error_propagates(self):
         """An off-by-one pair decision shifts the residual into a wrong s3."""
         const = model.PamConstellation(1.0, 2)
-        frame = multicast.multicast_transmit(2.0, 1.0, 1.0)
-        y = multicast.multicast_receive(frame, 1.0, None)
-        right = multicast.multicast_decode_s3(float(y[0]), 1.0, 2.0, 1.0, frame.alpha, const)
-        wrong = multicast.multicast_decode_s3(float(y[0]), 1.0, 1.0, 1.0, frame.alpha, const)
+        _, x = multicast.multicast_precode(np.array([2.0, 1.0, 1.0]))
+        y = multicast.multicast_observe(x, 1.0, None)
+        right = multicast.multicast_decode_s3(y[0], 1.0, 2.0, 1.0, ALPHA, const)
+        wrong = multicast.multicast_decode_s3(y[0], 1.0, 1.0, 1.0, ALPHA, const)
         assert right == 1.0
         assert wrong != 1.0
 
@@ -79,14 +88,11 @@ class TestDecodeS3:
         """Residual after a correct pair is alpha h3 s3 + AWGN(sigma2)."""
         rng = np.random.default_rng(9)
         const = model.constellation_for_power(1.0, 2)
-        h3, sigma2 = 1.3, 0.25
-        frame = multicast.multicast_transmit(1.0, 1.0, 2.0 * const.a_s)
-        resid = []
-        for _ in range(20_000):
-            y = multicast.multicast_receive(frame, h3, sigma2, rng)
-            resid.append(y[0] - h3 * (1.0 + 1.0))
-        resid = np.asarray(resid)
-        assert np.mean(resid) == pytest.approx(frame.alpha * h3 * 2.0 * const.a_s, rel=0.02)
+        h3, sigma2, n = 1.3, 0.25, 20_000
+        _, x = multicast.multicast_precode(np.array([1.0, 1.0, 2.0 * const.a_s]))
+        y = multicast.multicast_observe(np.tile(x, (n, 1)), np.full(n, h3), sigma2, rng)
+        resid = y[:, 0] - h3 * (1.0 + 1.0)
+        assert np.mean(resid) == pytest.approx(ALPHA * h3 * 2.0 * const.a_s, rel=0.02)
         assert np.var(resid) == pytest.approx(sigma2, rel=0.05)
 
 
