@@ -19,7 +19,7 @@ print("  points:", np.round(const.points, 3))
 print("  average power:", round(const.power, 12))
 
 K = 6
-h = model.draw_channel(K, K, rng).h
+h = model.draw_channels(K, K, 1, rng)[0][0]  # symbol gains of one channel
 s = const.draw(rng, size=K)
 print(f"\n{K} symbols:", np.round(s, 3))
 print("channel gains:", np.round(h, 3))

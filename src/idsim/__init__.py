@@ -29,7 +29,7 @@ from .analysis import (
     DminReport,
     DofPoint,
     binary_entropy,
-    capacity_gap_check,
+    capacity_gap_margin,
     capacity_miso,
     dmin_probe,
     dof_growth_slope,
@@ -48,13 +48,7 @@ from .core import (
     pair_decode,
 )
 from .harness import ExperimentConfig, SweepRow, run_experiment, write_csv
-from .model import (
-    ChannelRealization,
-    PamConstellation,
-    amplitude_for_power,
-    constellation_for_power,
-    draw_channel,
-)
+from .model import PamConstellation, amplitude_for_power, constellation_for_power, draw_channels
 from .multicast import (
     ALPHA_DEFAULT,
     multicast_decode,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .model import ChannelRealization, PamConstellation, constellation_for_power, _signed_rayleigh
+from .model import PamConstellation, constellation_for_power, _signed_rayleigh
 
 # Draws per batch of the distance prober and of the DoF pair-error estimate,
 # and the top grid points the DoF slope is fitted over.
@@ -34,35 +34,31 @@ def capacity_miso(g: np.ndarray, p_s: float, sigma2: float):
     return 0.5 * np.log2(1.0 + p_s * np.sum(g**2, axis=-1) / sigma2)
 
 
-def rate_pair_gaussian(ch: ChannelRealization, p: float, sigma2: float, m: int):
-    """Gaussian-input rate of pair m over (y_1, y_{m+1}), in bits per two uses.
-
-    ``ch.h`` may hold a batch of channels, (..., K); the result is (...,).
-    """
-    s_all = np.sum(ch.h**2, axis=-1)
-    s_excl = core.out_of_pair_sum(ch.h**2, m)
+def rate_pair_gaussian(h: np.ndarray, p: float, sigma2: float, m: int):
+    """Gaussian-input rate of pair m over (y_1, y_{m+1}), in bits per two uses,
+    for symbol gains h (..., K); the result is (...,)."""
+    s_all = np.sum(h**2, axis=-1)
+    s_excl = core.out_of_pair_sum(h**2, m)
     first = 0.5 * np.log2(1.0 + p * s_all / sigma2)
     second = 0.5 * np.log2((sigma2 + p * s_all) / (2.0 * p * s_excl + sigma2))
     return first + second
 
 
-def rate_total(ch: ChannelRealization, p: float, sigma2: float):
+def rate_total(h: np.ndarray, p: float, sigma2: float):
     """Overall rate per channel use: the pair rates split over ceil(K/2)+1 uses."""
-    pairs = core.num_pairs(ch.k)
-    total = sum(rate_pair_gaussian(ch, p, sigma2, m) for m in range(1, pairs + 1))
+    pairs = core.num_pairs(h.shape[-1])
+    total = sum(rate_pair_gaussian(h, p, sigma2, m) for m in range(1, pairs + 1))
     return total / (pairs + 1)
 
 
-def capacity_gap_check(ch: ChannelRealization, p: float, sigma2: float):
-    """Margin of the one-bit capacity-gap claim: R - (C - 1) with P_s = 2P.
+def capacity_gap_margin(h: np.ndarray, g: np.ndarray, p: float, sigma2: float):
+    """Margin R - (C - 1) of the one-bit capacity-gap claim, with P_s = 2P.
 
-    Returns ``(holds, margin)``. Meaningful under the K > N shared-antenna
-    mapping where sum h^2 exceeds sum g^2 and K is large.
+    h (..., K) and g (..., N) are the symbol and antenna gains; the claim
+    holds where the margin is positive. Meaningful under the K > N
+    shared-antenna mapping where sum h^2 exceeds sum g^2 and K is large.
     """
-    r = rate_total(ch, p, sigma2)
-    c = capacity_miso(ch.g, 2.0 * p, sigma2)
-    margin = r - (c - 1.0)
-    return bool(margin > 0), float(margin)
+    return rate_total(h, p, sigma2) - (capacity_miso(g, 2.0 * p, sigma2) - 1.0)
 
 
 def binary_entropy(p_e: float) -> float:
@@ -128,17 +124,14 @@ def dmin_probe(q_s: int, draws: int, rng: np.random.Generator, k: int = 4) -> Dm
     if k < 3:
         raise ValueError(f"dmin needs k >= 3: with k={k} beta = 1 and the common-gain pair has a zero-weight ghost")
     const = constellation_for_power(1.0, q_s)
-    scaled = np.empty(draws)
-    done = 0
-    while done < draws:
-        n = min(DMIN_CHUNK, draws - done)
+    scaled = []
+    for n in core.chunk_sizes(draws, DMIN_CHUNK):
         h = _signed_rayleigh(rng, n)
         g_int = _signed_rayleigh(rng, (n, k - 2))
         s = const.draw(rng, size=(n, k))
         d2 = dmin_batch(s[:, :2], np.sum(g_int * s[:, 2:], axis=1), h, const)
-        scaled[done : done + n] = d2 * q_s**2 / (h**2 * const.a_s**2)
-        done += n
-    return DminReport(q_s=q_s, samples=draws, dmin2_scaled=scaled)
+        scaled.append(d2 * q_s**2 / (h**2 * const.a_s**2))
+    return DminReport(q_s=q_s, samples=draws, dmin2_scaled=np.concatenate(scaled))
 
 
 def constellation_size_for_power(p: float, epsilon: float) -> int:
@@ -170,19 +163,21 @@ def dof_slope(p_grid, epsilon: float, trials: int, rng: np.random.Generator, k: 
     fixed generic channel draw (the degrees-of-freedom claim is per
     realization); the pair-error probability is pooled over symbol and
     unit-variance noise draws. Every power must exceed 1 (0 dB), where
-    (1/2) log2 P, the divisor of ``DofPoint.ratio``, is positive.
+    (1/2) log2 P, the divisor of ``DofPoint.ratio``, is positive. Every
+    point's candidates are built before the first draw, so an alphabet too
+    large to enumerate fails before any point runs.
     """
     p_grid = np.asarray(p_grid, dtype=float)
     if not np.all(p_grid > 1.0):
         raise ValueError("dof needs every power above 0 dB: (1/2) log2 P must be positive")
+    consts = [constellation_for_power(p, constellation_size_for_power(p, epsilon)) for p in p_grid]
+    cands = [core.candidate_pairs(const) for const in consts]
     h_common = float(_signed_rayleigh(rng, ()))
     g_int = _signed_rayleigh(rng, k - 2)
     out = []
-    for p in p_grid:
-        q_s = constellation_size_for_power(p, epsilon)
-        const = constellation_for_power(p, q_s)
-        pe = _pair_error_rate(const, h_common, g_int, trials, rng)
-        out.append(DofPoint(p=float(p), q_s=q_s, pe=pe, fano_bound=fano_rate_lower_bound(pe, q_s)))
+    for p, const, pt_cands in zip(p_grid, consts, cands):
+        pe = _pair_error_rate(const, pt_cands, h_common, g_int, trials, rng)
+        out.append(DofPoint(p=float(p), q_s=const.q_s, pe=pe, fano_bound=fano_rate_lower_bound(pe, const.q_s)))
     return out
 
 
@@ -201,34 +196,29 @@ def dof_growth_slope(points: list[DofPoint]) -> float:
 
 
 def _pair_error_rate(
-    const: PamConstellation, h_common: float, g_int: np.ndarray, trials: int, rng: np.random.Generator
+    const: PamConstellation, cands: np.ndarray, h_common: float, g_int: np.ndarray, trials: int, rng: np.random.Generator
 ) -> float:
-    """Monte Carlo pair-error rate of the weight decoder, fixed channel, unit
-    noise variance; frames are drawn DOF_CHUNK at a time."""
-    cands = core.candidate_pairs(const)
+    """Monte Carlo pair-error rate of the weight decoder over ``const``'s
+    candidates ``cands``, fixed channel, unit noise variance; frames are
+    drawn DOF_CHUNK at a time."""
     h_pair = np.array([h_common, h_common])
     errors = 0
-    done = 0
-    while done < trials:
-        n = min(DOF_CHUNK, trials - done)
+    for n in core.chunk_sizes(trials, DOF_CHUNK):
         s = const.draw(rng, size=(n, 2 + g_int.shape[0]))
         _, y = core.dissolve(h_pair, s[:, :2], s[:, 2:] @ g_int)
         y += rng.normal(0.0, 1.0, size=(n, 2))
-        hat = cands[core.argmin_metric(core.weight_matrix, y, np.broadcast_to(h_pair, (n, 2)), cands)]
+        hat = core.pair_decode(y, np.broadcast_to(h_pair, (n, 2)), 1, cands)
         errors += int(np.sum((hat[:, 0] != s[:, 0]) | (hat[:, 1] != s[:, 1])))
-        done += n
     return errors / trials
 
 
-def cov_unconditional(ch: ChannelRealization, p: float, sigma2: float) -> np.ndarray:
-    """Closed-form covariance of (y_1, y_{m+1}): (P sum h^2 + sigma2) I."""
-    s_all = float(np.sum(ch.h**2))
+def cov_unconditional(h: np.ndarray, p: float, sigma2: float) -> np.ndarray:
+    """Closed-form covariance of (y_1, y_{m+1}) for symbol gains h (K,): (P sum h^2 + sigma2) I."""
+    s_all = float(np.sum(h**2))
     return (p * s_all + sigma2) * np.eye(2)
 
 
-def cov_conditional(
-    ch: ChannelRealization, p: float, sigma2: float, m: int, ratio: float = 1.0
-) -> np.ndarray:
+def cov_conditional(h: np.ndarray, p: float, sigma2: float, m: int, ratio: float = 1.0) -> np.ndarray:
     """Covariance of (y_1, y_{m+1}) given the pair, with r = h_a s_a / (h_b s_b).
 
     Exact for any alphabet: the residual randomness is the interference sum,
@@ -236,7 +226,7 @@ def cov_conditional(
     determinant equals the expectation convention sigma2 (2 P S_m + sigma2)
     used by the closed-form rate.
     """
-    s_excl = p * core.out_of_pair_sum(ch.h**2, m)
+    s_excl = p * core.out_of_pair_sum(h**2, m)
     return np.array(
         [
             [s_excl + sigma2, -ratio * s_excl],

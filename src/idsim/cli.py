@@ -53,8 +53,7 @@ _SUBCOMMANDS = {
     "multicast": ("three-user multicast SER sweep", {"qs": 2, "snr_db": "0:2:30"}),
 }
 # Option dest -> ExperimentConfig field.
-_CONFIG_FIELDS = {"k": "k", "qs": "q_s", "decoder": "decoder", "epsilon": "epsilon",
-                  "trials": "trials", "seed": "seed", "out": "output_path", "emit_plot_data": "emit_plot_data"}
+_CONFIG_FIELDS = {"k": "k", "qs": "q_s", "decoder": "decoder", "epsilon": "epsilon", "trials": "trials", "seed": "seed"}
 
 
 def _add_options(sub: argparse.ArgumentParser, defaults: dict) -> None:
@@ -91,7 +90,7 @@ def main(argv=None) -> int:
             fields["zeta_db_grid"] = parse_snr_grid(opts["snr_db"])
         cfg = harness.ExperimentConfig(experiment=opts["experiment"], **fields)
         rows = harness.run_experiment(cfg)
-        harness.write_csv(rows, cfg.output_path, cfg.emit_plot_data)
+        harness.write_csv(rows, opts["out"], opts["emit_plot_data"])
     except (ValueError, OSError, harness.WorkerError) as exc:
         print(f"idsim: error: {exc}", file=sys.stderr)
         return 1

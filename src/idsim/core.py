@@ -44,6 +44,12 @@ def pair_members(k: int, m: int) -> tuple[int, int]:
     return k - 1, 0
 
 
+def chunk_sizes(total: int, chunk: int):
+    """Sizes of the consecutive chunks, at most ``chunk`` each, that make up ``total``."""
+    for start in range(0, total, chunk):
+        yield min(chunk, total - start)
+
+
 def out_of_pair_sum(x: np.ndarray, m: int) -> np.ndarray:
     """Sum of ``x[..., k]`` over the symbols k outside pair m."""
     k = x.shape[-1]
@@ -96,7 +102,14 @@ def frame_observe(h: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def candidate_pairs(const: PamConstellation) -> np.ndarray:
-    """All (2 q_s)^2 candidate pairs, first member major, alphabet ascending."""
+    """All (2 q_s)^2 candidate pairs, first member major, alphabet ascending.
+
+    A half-size above MAX_HALF_SIZE raises ValueError: its pairs would not
+    fit one ``argmin_metric`` block, and the array grows as q_s^2.
+    """
+    if const.q_s > MAX_HALF_SIZE:
+        raise ValueError(f"half-size {const.q_s} gives {(2 * const.q_s) ** 2} candidate pairs; "
+                         f"the half-size must be at most {MAX_HALF_SIZE}")
     pts = const.points
     sa, sb = np.meshgrid(pts, pts, indexing="ij")
     return np.column_stack([sa.ravel(), sb.ravel()])
@@ -212,6 +225,9 @@ def known_beta_metric_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarra
 BLOCK_VALUES = 1 << 15
 BLOCK_ROWS = 1 << 11
 METRIC_BUFFERS = 3
+# The candidate budget: the largest half-size whose (2 q_s)^2 <= BLOCK_VALUES
+# pairs fit one block, 90.
+MAX_HALF_SIZE = int(np.sqrt(BLOCK_VALUES)) // 2
 
 
 def argmin_metric(metric, y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, *args) -> np.ndarray:

@@ -71,8 +71,6 @@ class ExperimentConfig:
     trials: int = 100_000
     seed: int = DEFAULT_SEED
     decoder: str = core.WEIGHT
-    output_path: str | None = None
-    emit_plot_data: bool = False
     epsilon: float = 0.1
     sigma2: float = 1.0
 
@@ -130,9 +128,9 @@ def _rng(cfg: ExperimentConfig, *path: int) -> np.random.Generator:
 def _chunk_tasks(cfg: ExperimentConfig, first_chunk: int = 0) -> list[tuple[int, int, int]]:
     """``(zi, chunk_idx, n)`` for each chunk of ``cfg.trials`` at each grid point, in order."""
     return [
-        (zi, first_chunk + c, min(CHUNK, cfg.trials - start))
+        (zi, first_chunk + c, n)
         for zi in range(len(cfg.zeta_db_grid))
-        for c, start in enumerate(range(0, cfg.trials, CHUNK))
+        for c, n in enumerate(core.chunk_sizes(cfg.trials, CHUNK))
     ]
 
 
@@ -336,9 +334,9 @@ def _rate_chunk(cfg, point, rng, chunk_idx, n):
     """
     p, const, cands = point
     if chunk_idx == 0:
-        ch = model.ChannelRealization(*model.draw_channels(cfg.k, N_ANTENNAS, n, rng))
-        c_mean = float(np.mean(analysis.capacity_miso(ch.g, 2.0 * p, cfg.sigma2)))
-        return c_mean, float(np.mean(analysis.rate_total(ch, p, cfg.sigma2)))
+        h, g = model.draw_channels(cfg.k, N_ANTENNAS, n, rng)
+        c_mean = float(np.mean(analysis.capacity_miso(g, 2.0 * p, cfg.sigma2)))
+        return c_mean, float(np.mean(analysis.rate_total(h, p, cfg.sigma2)))
     h, _, s, _, y = _id_frame_batch(cfg, const, n, rng)
     return _pair_errors(_id_decode_batch(cfg, cands, h, y, p), s)
 

@@ -43,21 +43,9 @@ class PamConstellation:
         return self.a_s * levels.astype(float)
 
     @property
-    def size(self) -> int:
-        return 2 * self.q_s
-
-    @property
     def power(self) -> float:
         """Average symbol power ``a_s^2 (q_s+1)(2 q_s+1) / 6`` (exact)."""
         return self.a_s**2 * (self.q_s + 1) * (2 * self.q_s + 1) / 6.0
-
-    @property
-    def min_abs(self) -> float:
-        return self.a_s
-
-    @property
-    def max_abs(self) -> float:
-        return self.a_s * self.q_s
 
     def draw(self, rng: np.random.Generator, size=None) -> np.ndarray:
         """Uniform draw from the alphabet."""
@@ -93,33 +81,6 @@ def constellation_for_power(p: float, q_s: int) -> PamConstellation:
     return PamConstellation(a_s=amplitude_for_power(p, q_s), q_s=q_s)
 
 
-@dataclass
-class ChannelRealization:
-    """Real channel gains: ``h`` per transmitted symbol, ``g`` per antenna.
-
-    With ``k <= n`` the symbol gains are a sub-vector of the antenna gains.
-    With ``k > n`` several symbols share an antenna, so ``sum h^2`` exceeds
-    ``sum g^2``; consecutive symbol pairs then ride the same gain.
-    """
-
-    h: np.ndarray
-    g: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.h = np.atleast_1d(np.asarray(self.h, dtype=float))
-        self.g = np.atleast_1d(np.asarray(self.g, dtype=float))
-        if not (np.isfinite(self.h).all() and np.isfinite(self.g).all()):
-            raise ValueError("channel gains must be finite")
-
-    @property
-    def k(self) -> int:
-        return self.h.shape[-1]
-
-    @property
-    def n(self) -> int:
-        return self.g.shape[-1]
-
-
 def _signed_rayleigh(rng: np.random.Generator, size) -> np.ndarray:
     """Real gains: Rayleigh magnitude with E[h^2] = 1 and random sign.
 
@@ -148,19 +109,18 @@ def symbol_antenna_map(k: int, n: int) -> np.ndarray:
     return np.repeat(np.arange(n), counts)
 
 
-def draw_channel(k: int, n: int, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one channel: ``n`` antenna gains and the ``k`` symbol gains."""
+def draw_channels(k: int, n: int, count: int, rng: np.random.Generator):
+    """Draw ``count`` channels: ``(h, g)`` of shapes (count, k) and (count, n).
+
+    ``g`` holds the antenna gains and ``h`` the symbol gains, mapped by
+    ``symbol_antenna_map``: with ``k <= n`` the first ``k`` antenna gains,
+    with ``k > n`` blocks of symbols sharing an antenna, so ``sum h^2``
+    exceeds ``sum g^2``. One channel is ``count = 1``.
+    """
     if k < 2:
         raise ValueError(f"need at least two symbols, got k={k}")
     if n < 2:
         raise ValueError(f"need at least two antennas, got n={n}")
-    g = _signed_rayleigh(rng, n)
-    h = g[symbol_antenna_map(k, n)]
-    return ChannelRealization(h=h, g=g)
-
-
-def draw_channels(k: int, n: int, count: int, rng: np.random.Generator):
-    """Batched channel draw: returns ``(h, g)`` of shapes (count, k), (count, n)."""
     g = _signed_rayleigh(rng, (count, n))
     h = g[:, symbol_antenna_map(k, n)]
     return h, g

@@ -22,6 +22,9 @@ ALPHA_DEFAULT = float(np.sqrt(3.0) / 2.0)
 
 SYMBOLS_PER_USE = 1.5
 
+# Frames per batch of the s3 rate-slope estimate.
+S3_CHUNK = 4096
+
 
 def multicast_precode(s: np.ndarray, alpha: float = ALPHA_DEFAULT) -> tuple[np.ndarray, np.ndarray]:
     """Precode frames s = (..., 3) into beta (...,) and the two sent signals (..., 2).
@@ -60,7 +63,7 @@ def multicast_decode(
     the first-use residual over ``s3_const`` (default ``const``).
     """
     cands = core.candidate_pairs(const)
-    pair = cands[core.argmin_metric(core.weight_matrix, y, np.stack([h, h], axis=-1), cands)]
+    pair = core.pair_decode(y, np.stack([h, h], axis=-1), 1, cands)
     s3 = multicast_decode_s3(y[:, 0], h, pair[:, 0], pair[:, 1], alpha, const if s3_const is None else s3_const)
     return np.column_stack([pair, s3])
 
@@ -87,7 +90,8 @@ def s3_rate_slope(
     P^((1-eps)/2), the one-degree-of-freedom scaling. User 3's gain is held
     at one (the degrees-of-freedom claim is per realization), and the noise
     variance is one. Decoding is end to end, pair first and then the
-    residual, so error propagation is included.
+    residual, so error propagation is included. Frames are drawn S3_CHUNK
+    at a time.
     """
     out = []
     for p in np.asarray(p_grid, dtype=float):
@@ -95,15 +99,12 @@ def s3_rate_slope(
         pair_const = constellation_for_power(p, 2)
         s3_const = constellation_for_power(p, q3)
         errors = 0
-        done = 0
-        while done < trials:
-            n = min(4096, trials - done)
+        for n in core.chunk_sizes(trials, S3_CHUNK):
             s = np.column_stack([pair_const.draw(rng, size=(n, 2)), s3_const.draw(rng, size=n)])
             h = np.ones(n)
             y = multicast_observe(multicast_precode(s, alpha)[1], h, 1.0, rng)
             s3_hat = multicast_decode(y, h, pair_const, s3_const, alpha)[:, 2]
             errors += int(np.sum(s3_hat != s[:, 2]))
-            done += n
         pe = errors / trials
         bound = fano_rate_lower_bound(pe, q3)
         out.append((float(p), bound / (0.5 * np.log2(p))))

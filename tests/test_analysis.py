@@ -6,11 +6,6 @@ import pytest
 from idsim import analysis, core, model
 
 
-def channel_from(h):
-    h = np.asarray(h, dtype=float)
-    return model.ChannelRealization(h=h, g=h)
-
-
 class TestCapacity:
     def test_half_bit_at_unit_snr(self):
         assert analysis.capacity_miso(np.array([1.0, 0.0]), 1.0, 1.0) == pytest.approx(0.5)
@@ -29,43 +24,42 @@ class TestCapacity:
 class TestPairRate:
     def test_k2_reduces_to_full_log(self):
         """Without interferers both observations are fully informative."""
-        ch = channel_from([0.9, -1.4])
+        h = np.array([0.9, -1.4])
         p, s2 = 3.0, 0.5
-        expected = np.log2(1.0 + p * np.sum(ch.h**2) / s2)
-        assert analysis.rate_pair_gaussian(ch, p, s2, 1) == pytest.approx(expected, rel=1e-12)
+        expected = np.log2(1.0 + p * np.sum(h**2) / s2)
+        assert analysis.rate_pair_gaussian(h, p, s2, 1) == pytest.approx(expected, rel=1e-12)
 
     def test_vanishing_power(self):
-        ch = channel_from([1.0, 1.0, 1.0, 1.0])
-        assert analysis.rate_pair_gaussian(ch, 1e-15, 1.0, 1) == pytest.approx(0.0, abs=1e-12)
+        assert analysis.rate_pair_gaussian(np.ones(4), 1e-15, 1.0, 1) == pytest.approx(0.0, abs=1e-12)
 
     def test_log_det_identity(self):
         """Closed form equals the determinant route on random instances."""
         rng = np.random.default_rng(101)
         for _ in range(1000):
             k = int(rng.integers(2, 9))
-            ch = model.draw_channel(k, k, rng)
+            (h,), _ = model.draw_channels(k, k, 1, rng)
             p = float(10.0 ** rng.uniform(-2, 3))
             s2 = float(10.0 ** rng.uniform(-2, 1))
             m = int(rng.integers(1, core.num_pairs(k) + 1))
-            closed = analysis.rate_pair_gaussian(ch, p, s2, m)
-            det_u = np.linalg.det(analysis.cov_unconditional(ch, p, s2))
-            det_c = np.linalg.det(analysis.cov_conditional(ch, p, s2, m, ratio=1.0))
+            closed = analysis.rate_pair_gaussian(h, p, s2, m)
+            det_u = np.linalg.det(analysis.cov_unconditional(h, p, s2))
+            det_c = np.linalg.det(analysis.cov_conditional(h, p, s2, m, ratio=1.0))
             direct = 0.5 * np.log2(det_u) - 0.5 * np.log2(det_c)
             np.testing.assert_allclose(closed, direct, rtol=1e-10)
 
 
 class TestTotalRate:
     def test_k2_is_half_pair_rate(self):
-        ch = channel_from([1.1, 0.4])
-        pair = analysis.rate_pair_gaussian(ch, 2.0, 1.0, 1)
-        assert analysis.rate_total(ch, 2.0, 1.0) == pytest.approx(pair / 2.0, rel=1e-12)
+        h = np.array([1.1, 0.4])
+        pair = analysis.rate_pair_gaussian(h, 2.0, 1.0, 1)
+        assert analysis.rate_total(h, 2.0, 1.0) == pytest.approx(pair / 2.0, rel=1e-12)
 
     def test_large_k_approaches_pair_rate(self):
         """With many equal pairs the per-use rate approaches the pair rate."""
         rng = np.random.default_rng(3)
-        ch = model.draw_channel(200, 2, rng)
-        r_tot = analysis.rate_total(ch, 1.0, 1.0)
-        r_pairs = [analysis.rate_pair_gaussian(ch, 1.0, 1.0, m) for m in range(1, 101)]
+        (h,), _ = model.draw_channels(200, 2, 1, rng)
+        r_tot = analysis.rate_total(h, 1.0, 1.0)
+        r_pairs = [analysis.rate_pair_gaussian(h, 1.0, 1.0, m) for m in range(1, 101)]
         assert r_tot == pytest.approx(np.mean(r_pairs) * 100 / 101, rel=1e-12)
 
 
@@ -73,22 +67,27 @@ class TestCapacityGap:
     def test_margin_positive_large_k(self):
         rng = np.random.default_rng(5)
         for zdb in (0.0, 30.0):
-            ch = model.draw_channel(100, 2, rng)
-            holds, margin = analysis.capacity_gap_check(ch, 10.0 ** (zdb / 10.0), 1.0)
-            assert holds and margin > 0
+            margin = analysis.capacity_gap_margin(*model.draw_channels(100, 2, 1, rng), 10.0 ** (zdb / 10.0), 1.0)
+            assert margin > 0
 
     def test_low_power_margin_approaches_one(self):
         rng = np.random.default_rng(7)
-        ch = model.draw_channel(100, 2, rng)
-        _, margin = analysis.capacity_gap_check(ch, 1e-12, 1.0)
+        margin = analysis.capacity_gap_margin(*model.draw_channels(100, 2, 1, rng), 1e-12, 1.0)
         assert margin == pytest.approx(1.0, abs=1e-3)
 
     def test_small_k_reported_not_asserted(self):
         """The bound needs large K; at K=4 the margin is only reported."""
         rng = np.random.default_rng(9)
-        ch = model.draw_channel(4, 2, rng)
-        holds, margin = analysis.capacity_gap_check(ch, 10.0, 1.0)
-        assert isinstance(holds, bool) and np.isfinite(margin)
+        margin = analysis.capacity_gap_margin(*model.draw_channels(4, 2, 1, rng), 10.0, 1.0)
+        assert np.isfinite(margin)
+
+    def test_batch_rows_match_single_channels(self):
+        """A (count, K) batch gives each row the margin of that channel alone."""
+        h, g = model.draw_channels(100, 2, 50, np.random.default_rng(13))
+        batch = analysis.capacity_gap_margin(h, g, 10.0, 1.0)
+        assert batch.shape == (50,)
+        single = [analysis.capacity_gap_margin(h[i], g[i], 10.0, 1.0) for i in range(50)]
+        np.testing.assert_allclose(batch, single, rtol=1e-13)
 
 
 class TestRateReport:
@@ -96,11 +95,11 @@ class TestRateReport:
         """Eight symbols: four pair rates over five uses, and a symbol-gain
         capacity above the antenna-gain one under the shared mapping."""
         rng = np.random.default_rng(11)
-        ch = model.draw_channel(8, 2, rng)
-        r_pair = [analysis.rate_pair_gaussian(ch, 2.0, 1.0, m) for m in range(1, core.num_pairs(8) + 1)]
+        (h,), (g,) = model.draw_channels(8, 2, 1, rng)
+        r_pair = [analysis.rate_pair_gaussian(h, 2.0, 1.0, m) for m in range(1, core.num_pairs(8) + 1)]
         assert len(r_pair) == 4
-        assert analysis.rate_total(ch, 2.0, 1.0) == pytest.approx(np.sum(r_pair) / 5.0, rel=1e-12)
-        assert analysis.capacity_miso(ch.h, 4.0, 1.0) > analysis.capacity_miso(ch.g, 4.0, 1.0)
+        assert analysis.rate_total(h, 2.0, 1.0) == pytest.approx(np.sum(r_pair) / 5.0, rel=1e-12)
+        assert analysis.capacity_miso(h, 4.0, 1.0) > analysis.capacity_miso(g, 4.0, 1.0)
 
 
 class TestFanoBound:
@@ -238,7 +237,7 @@ class TestCovarianceForms:
         const = model.constellation_for_power(p, 2)
         hp = float(model._signed_rayleigh(rng, ()))
         g_int = model._signed_rayleigh(rng, k - 2)
-        ch = model.ChannelRealization(h=np.concatenate([[hp, hp], g_int]), g=np.ones(2))
+        h = np.concatenate([[hp, hp], g_int])
         s1, s2sym = const.points[3], const.points[0]
         ratio = s1 / s2sym
         n = 400_000
@@ -247,7 +246,7 @@ class TestCovarianceForms:
         beta = 1.0 + intf / (hp * s2sym)
         y2 = hp * s2sym - beta * hp * s1 + rng.normal(0, np.sqrt(s2), n)
         emp = np.cov(np.stack([y1, y2]))
-        theo = analysis.cov_conditional(ch, p, s2, 1, ratio=ratio)
+        theo = analysis.cov_conditional(h, p, s2, 1, ratio=ratio)
         np.testing.assert_allclose(emp, theo, rtol=0.02, atol=0.02 * np.abs(theo).max())
 
     def test_unconditional_exact_at_unit_half_size(self):
@@ -259,7 +258,7 @@ class TestCovarianceForms:
         const = model.constellation_for_power(p, 1)
         hp = float(model._signed_rayleigh(rng, ()))
         g_int = model._signed_rayleigh(rng, k - 2)
-        ch = model.ChannelRealization(h=np.concatenate([[hp, hp], g_int]), g=np.ones(2))
+        h = np.concatenate([[hp, hp], g_int])
         n = 400_000
         sp = const.draw(rng, size=(n, 2))
         intf = const.draw(rng, size=(n, k - 2)) @ g_int
@@ -267,5 +266,5 @@ class TestCovarianceForms:
         beta = 1.0 + intf / (hp * sp[:, 1])
         y2 = hp * sp[:, 1] - beta * hp * sp[:, 0] + rng.normal(0, np.sqrt(s2), n)
         emp = np.cov(np.stack([y1, y2]))
-        theo = analysis.cov_unconditional(ch, p, s2)
+        theo = analysis.cov_unconditional(h, p, s2)
         np.testing.assert_allclose(emp, theo, rtol=0.02, atol=0.02 * theo[0, 0])

@@ -120,6 +120,27 @@ class TestPairing:
             core.pair_members(4, 3)
 
 
+class TestCandidatePairs:
+    def test_budget_is_one_block(self):
+        """Half-size 90 gives 32400 pairs, within one block of 32768 values;
+        91 would give 33124 and raises before building them."""
+        assert core.MAX_HALF_SIZE == 90
+        cands = core.candidate_pairs(model.PamConstellation(1.0, 90))
+        assert cands.shape == (32400, 2) and len(cands) <= core.BLOCK_VALUES
+        for q_s in (91, 200):
+            with pytest.raises(ValueError, match="at most 90"):
+                core.candidate_pairs(model.PamConstellation(1.0, q_s))
+
+
+@settings(max_examples=60)
+@given(total=st.integers(0, 10**5), chunk=st.integers(1, 10**4))
+def test_chunk_sizes_cover_total(total, chunk):
+    """Full chunks, then one partial chunk if the total leaves a remainder."""
+    sizes = list(core.chunk_sizes(total, chunk))
+    assert sum(sizes) == total and len(sizes) == -(-total // chunk)
+    assert all(n == chunk for n in sizes[:-1]) and all(0 < n <= chunk for n in sizes)
+
+
 class TestTransmitPair:
     def test_noiseless_two_symbols(self):
         assert tuple(observe([1.0, 1.0], [1.0, 1.0])[1]) == (2.0, 0.0)
@@ -467,11 +488,11 @@ class TestMlDecodePair:
         rng = RNG(43)
         p = 2.0
         const = model.constellation_for_power(p, 2)
-        ch = model.draw_channel(6, 6, rng)
+        (h,), _ = model.draw_channels(6, 6, 1, rng)
         s2_sym = const.points[2]
         s_int = const.draw(rng, size=(1_000_000, 4))
-        beta = 1.0 + (s_int @ ch.h[2:]) / (ch.h[1] * s2_sym)
-        eta2 = p * np.sum(ch.h[2:] ** 2) / (ch.h[1] * s2_sym) ** 2
+        beta = 1.0 + (s_int @ h[2:]) / (h[1] * s2_sym)
+        eta2 = p * np.sum(h[2:] ** 2) / (h[1] * s2_sym) ** 2
         assert np.var(beta) == pytest.approx(eta2, rel=0.01)
         assert np.mean(beta) == pytest.approx(1.0, rel=0.01)
 

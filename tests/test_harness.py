@@ -4,9 +4,12 @@ import os
 import subprocess
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import idsim
 from idsim import cli, core, harness, model, multicast
@@ -24,6 +27,14 @@ def subprocess_env(env):
 
 def no_fork():
     raise AssertionError("a process was started")
+
+
+def no_draw(*args, **kwargs):
+    raise AssertionError("a channel was drawn")
+
+
+def no_csv(*args, **kwargs):
+    raise AssertionError("a CSV was written")
 
 
 def small_cfg(**kw):
@@ -460,6 +471,29 @@ class TestCliEndToEnd:
         assert cli.main(["dof", f"--snr-db={snr}", "--trials", "10"]) == 1
         assert "0 dB" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [("dof", "--snr-db", "20,300"), ("ser", "--qs", "91")])
+    def test_alphabet_too_large_to_enumerate_exits_nonzero(self, args, tmp_path):
+        """Above half-size 90 the candidate pairs exceed one decoding block:
+        dof at 300 dB would ask for 2e15 bytes of them."""
+        out = tmp_path / "out.csv"
+        res = self.run_cli(*args, "--trials", "10", "--out", str(out))
+        assert res.returncode == 1
+        assert res.stderr.startswith("idsim: error:") and "at most 90" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
+
+    def test_dof_rejects_large_alphabet_before_any_point_runs(self, capsys):
+        """The 20 dB point comes first in the grid but draws nothing."""
+        with mock.patch.object(harness.analysis, "_signed_rayleigh", no_draw):
+            assert cli.main(["dof", "--snr-db", "20,300", "--trials", "10"]) == 1
+        assert "at most 90" in capsys.readouterr().err
+
+    def test_dof_at_86db_runs(self, capsys):
+        """86 dB gives half-size 86 at eps = 0.1, within the budget of 90."""
+        assert cli.main(["dof", "--snr-db", "86", "--trials", "20"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert len(lines) == 2 and lines[1].startswith("dof,dof,86,20,")
+
     def test_dof_default_grid_runs(self, tmp_path):
         """dof's own default grid, 20:10:60 dB, lies above 0 dB."""
         out = tmp_path / "dof.csv"
@@ -523,3 +557,56 @@ class TestBlasThreads:
     def test_callers_count_kept(self, var):
         expected = "2" if var == "OMP_NUM_THREADS" else "None"
         assert self.omp_threads_after_import(**{var: "2"}) == expected
+
+
+# Invalid values of each flag, as (subcommand, flag, value, exit code): 1 for
+# values the run rejects, 2 for argparse usage errors. None starts a sweep.
+# Half-sizes above 90 stop at 200, so that a run which skipped the candidate
+# budget would build arrays of megabytes, not gigabytes, before it failed.
+_ALL = ["ser", "rate", "dmin", "dof", "multicast"]
+_SNR_RUNS = ["ser", "rate", "dof", "multicast"]
+_INVALID_FLAGS = st.one_of(
+    st.tuples(st.sampled_from(["ser", "rate", "dof"]), st.just("--k"), st.integers(max_value=1), st.just(1)),
+    st.tuples(st.just("dmin"), st.just("--k"), st.integers(max_value=2), st.just(1)),
+    st.tuples(st.sampled_from(["ser", "rate", "dmin", "multicast"]), st.just("--qs"), st.integers(max_value=0), st.just(1)),
+    st.tuples(st.sampled_from(["ser", "rate"]), st.just("--qs"), st.integers(91, 200), st.just(1)),
+    st.tuples(st.sampled_from(_ALL), st.just("--trials"), st.integers(max_value=0), st.just(1)),
+    st.tuples(st.just("dof"), st.just("--epsilon"), st.floats().filter(lambda e: not 0.0 < e < 1.0), st.just(1)),
+    st.tuples(
+        st.sampled_from(_SNR_RUNS),
+        st.just("--snr-db"),
+        st.one_of(
+            st.sampled_from(["nan", "inf", "-inf", "0,nan", "0:inf:10", "nan:1:2"]),
+            st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not -100.0 <= x <= 300.0),
+            st.sampled_from(["", "abc", "1:2", "1:2:3:4", "0:0:10", "0:-1:10", "10:1:0", "1,,2"]),
+            st.text(max_size=8).map(lambda text: text + "q"),
+        ),
+        st.just(1),
+    ),
+    st.tuples(st.just("dof"), st.just("--snr-db"), st.floats(-100.0, 0.0), st.just(1)),
+    st.tuples(
+        st.sampled_from(_ALL),
+        st.sampled_from(["--trials", "--seed"]),
+        st.sampled_from(["", "1.5", "two", "1e3", "0x10"]),
+        st.just(2),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_INVALID_FLAGS)
+def test_invalid_flag_value_exits_nonzero(case):
+    """Any invalid value exits 1 (or 2 from argparse) before a channel is
+    drawn or a worker forked, and writes no CSV."""
+    experiment, flag, value, code = case
+    with (
+        mock.patch.object(os, "fork", no_fork),
+        mock.patch.object(model, "_signed_rayleigh", no_draw),
+        mock.patch.object(harness.analysis, "_signed_rayleigh", no_draw),
+        mock.patch.object(harness, "write_csv", no_csv),
+    ):
+        try:
+            got = cli.main([experiment, f"{flag}={value}"])
+        except SystemExit as exc:
+            got = exc.code
+    assert got == code

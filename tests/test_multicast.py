@@ -68,8 +68,9 @@ class TestDecodeS3:
         """With the correct pair removed the residual is alpha h3 s3."""
         rng = np.random.default_rng(7)
         const = model.constellation_for_power(1.0, 2)
-        s = np.column_stack([np.ones(const.size), -np.ones(const.size), const.points])
-        h3 = model._signed_rayleigh(rng, const.size)
+        size = len(const.points)
+        s = np.column_stack([np.ones(size), -np.ones(size), const.points])
+        h3 = model._signed_rayleigh(rng, size)
         y = multicast.multicast_observe(multicast.multicast_precode(s)[1], h3, None)
         got = multicast.multicast_decode_s3(y[:, 0], h3, 1.0, -1.0, ALPHA, const)
         np.testing.assert_array_equal(got, const.points)
