@@ -9,7 +9,7 @@ s3 from the alpha-scaled residual. Throughput: 1.5 symbols per use.
 
 import numpy as np
 
-from idsim import harness, model, multicast
+from idsim import core, harness, model, multicast
 
 rng = np.random.default_rng(11)
 
@@ -17,17 +17,18 @@ P = 25.0
 const = model.constellation_for_power(P, 2)
 s = const.draw(rng, size=3)
 s1, s2, s3 = s
-alpha = multicast.ALPHA_DEFAULT
+alpha = multicast.ALPHA
 beta, x = multicast.multicast_precode(s)
 print(f"symbols: s1={s1:+.3f} s2={s2:+.3f} s3={s3:+.3f}  alpha={alpha:.6f}")
 print(f"sent: x1 = {x[0]:+.4f} (= s1 + beta*s2), x2 = {x[1]:+.4f}, beta = {beta:+.4f}")
 
 gains = model._signed_rayleigh(rng, 3)
 sigma2 = 1.0
+cands = core.candidate_pairs(const)
 for user, h_i in enumerate(gains, start=1):
     # One user's observation of one frame is a batch of n = 1.
     y = multicast.multicast_observe(x[None], h_i[None], sigma2, rng)
-    got = multicast.multicast_decode(y, h_i[None], const)[0]
+    got = multicast.multicast_decode(y, h_i[None], cands, const)[0]
     line = f"user {user} (h={h_i:+.3f}): pair -> ({got[0]:+.3f}, {got[1]:+.3f})"
     if user == 3:
         line += f", s3 -> {got[2]:+.3f}"

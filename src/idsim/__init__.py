@@ -50,7 +50,7 @@ from .core import (
 from .harness import ExperimentConfig, SweepRow, run_experiment, write_csv
 from .model import PamConstellation, amplitude_for_power, constellation_for_power, draw_channels
 from .multicast import (
-    ALPHA_DEFAULT,
+    ALPHA,
     multicast_decode,
     multicast_decode_s3,
     multicast_precode,

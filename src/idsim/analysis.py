@@ -100,38 +100,38 @@ class DminReport:
         return float(np.median(self.dmin2_scaled))
 
 
-def dmin_batch(s_true: np.ndarray, interference: np.ndarray, h: np.ndarray, const: PamConstellation) -> np.ndarray:
-    """Squared minimum weights of (n, 2) true pairs on common gains h (n,).
+def dmin_batch(s_true: np.ndarray, interference: np.ndarray, h: np.ndarray, cands: np.ndarray) -> np.ndarray:
+    """Squared minimum weights of (n, 2) true pairs on common gains h (n,)
+    over the candidate pairs ``cands`` (``core.candidate_pairs``).
 
     ``interference`` (n,) is each pair's out-of-pair sum, which sets beta.
     """
     h_pair = np.stack([h, h], axis=-1)
     _, y = core.dissolve(h_pair, s_true, interference)
-    cands = core.candidate_pairs(const)
     w = core.weight_matrix(y, h_pair, cands)
     is_true = (cands[None, :, 0] == s_true[:, 0:1]) & (cands[None, :, 1] == s_true[:, 1:2])
     return np.min(np.where(is_true, np.inf, w), axis=1) ** 2
 
 
-def dmin_probe(q_s: int, draws: int, rng: np.random.Generator, k: int = 4) -> DminReport:
-    """Sample the scaled minimum distance over random channels and symbols.
+def dmin_probe(const: PamConstellation, cands: np.ndarray, draws: int, rng: np.random.Generator, k: int = 4) -> DminReport:
+    """Sample the scaled minimum distance of ``const``'s candidate pairs
+    ``cands`` over random channels and symbols.
 
     The intended pair rides a common gain; interferers keep independent
     gains so the dissolution factor stays generic, which needs K >= 3.
-    The scaled distance does not depend on the power, which is one. Draws
-    are taken DMIN_CHUNK at a time.
+    The scaled distance does not depend on the alphabet's power. Draws are
+    taken DMIN_CHUNK at a time.
     """
     if k < 3:
         raise ValueError(f"dmin needs k >= 3: with k={k} beta = 1 and the common-gain pair has a zero-weight ghost")
-    const = constellation_for_power(1.0, q_s)
     scaled = []
     for n in core.chunk_sizes(draws, DMIN_CHUNK):
         h = _signed_rayleigh(rng, n)
         g_int = _signed_rayleigh(rng, (n, k - 2))
         s = const.draw(rng, size=(n, k))
-        d2 = dmin_batch(s[:, :2], np.sum(g_int * s[:, 2:], axis=1), h, const)
-        scaled.append(d2 * q_s**2 / (h**2 * const.a_s**2))
-    return DminReport(q_s=q_s, samples=draws, dmin2_scaled=np.concatenate(scaled))
+        d2 = dmin_batch(s[:, :2], np.sum(g_int * s[:, 2:], axis=1), h, cands)
+        scaled.append(d2 * const.q_s**2 / (h**2 * const.a_s**2))
+    return DminReport(q_s=const.q_s, samples=draws, dmin2_scaled=np.concatenate(scaled))
 
 
 def constellation_size_for_power(p: float, epsilon: float) -> int:

@@ -104,15 +104,24 @@ def frame_observe(h: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def candidate_pairs(const: PamConstellation) -> np.ndarray:
     """All (2 q_s)^2 candidate pairs, first member major, alphabet ascending.
 
-    A half-size above MAX_HALF_SIZE raises ValueError: its pairs would not
-    fit one ``argmin_metric`` block, and the array grows as q_s^2.
+    A half-size above MAX_HALF_SIZE raises ValueError (``check_half_size``).
     """
-    if const.q_s > MAX_HALF_SIZE:
-        raise ValueError(f"half-size {const.q_s} gives {(2 * const.q_s) ** 2} candidate pairs; "
-                         f"the half-size must be at most {MAX_HALF_SIZE}")
+    check_half_size(const.q_s)
     pts = const.points
     sa, sb = np.meshgrid(pts, pts, indexing="ij")
     return np.column_stack([sa.ravel(), sb.ravel()])
+
+
+def check_half_size(q_s: int) -> None:
+    """Raise ValueError for a half-size above MAX_HALF_SIZE: its candidate
+    pairs would not fit one ``argmin_metric`` block, and they grow as q_s^2.
+
+    It compares integers only, so a half-size too large for a float fails
+    here before an alphabet is scaled with it.
+    """
+    if q_s > MAX_HALF_SIZE:
+        raise ValueError(f"half-size {q_s} gives more than {BLOCK_VALUES} candidate pairs; "
+                         f"the half-size must be at most {MAX_HALF_SIZE}")
 
 
 def weight_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, out=None) -> np.ndarray:

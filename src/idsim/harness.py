@@ -7,13 +7,17 @@ another's, so ``ser``, ``rate`` and ``multicast`` run their chunks on one
 forked process per usable core (the CPU affinity, so ``taskset`` limits
 them) and add the partial results up in chunk order, and the CSV is
 byte-identical for every number of processes. ``dmin`` and
-``dof`` draw from one sequential stream and run in this process. Noise
-variance is fixed at one; the SNR axis is zeta = P / sigma2, so the
+``dof`` draw from one sequential stream and run in this process. Every
+sweep builds all its grid points (power, alphabet, candidate pairs) before
+its first draw or fork, so a grid that cannot run fails before any work.
+Noise variance is fixed at one; the SNR axis is zeta = P / sigma2, so the
 per-symbol power at a grid point is the linear zeta.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import os
 import pickle
 import sys
@@ -107,7 +111,7 @@ class SweepRow:
     experiment: str
     scheme: str
     zeta_db: float | None
-    trials_used: int
+    trials: int
     ser: float | None = None
     rate_bits_per_use: float | None = None
     normalized_rate: float | None = None
@@ -118,36 +122,51 @@ class SweepRow:
     def ser_stderr(self) -> float | None:
         if self.ser is None:
             return None
-        return float(np.sqrt(self.ser * (1.0 - self.ser) / self.trials_used))
+        return float(np.sqrt(self.ser * (1.0 - self.ser) / self.trials))
+
+    @property
+    def zeta_linear(self) -> float | None:
+        return None if self.zeta_db is None else 10.0 ** (self.zeta_db / 10.0)
+
+    @property
+    def log10_ser(self) -> float | None:
+        return None if not self.ser else float(np.log10(self.ser))
 
 
 def _rng(cfg: ExperimentConfig, *path: int) -> np.random.Generator:
     return np.random.default_rng([cfg.seed, _EXP_ID[cfg.experiment], *path])
 
 
-def _chunk_tasks(cfg: ExperimentConfig, first_chunk: int = 0) -> list[tuple[int, int, int]]:
-    """``(zi, chunk_idx, n)`` for each chunk of ``cfg.trials`` at each grid point, in order."""
-    return [
-        (zi, first_chunk + c, n)
-        for zi in range(len(cfg.zeta_db_grid))
-        for c, n in enumerate(core.chunk_sizes(cfg.trials, CHUNK))
-    ]
+def _alphabet(p: float, q_s: int):
+    """The half-size ``q_s`` alphabet scaled to power ``p`` and its candidate
+    pairs. The half-size is checked first: one too large for a float would
+    overflow the scaling."""
+    core.check_half_size(q_s)
+    const = model.constellation_for_power(p, q_s)
+    return const, core.candidate_pairs(const)
 
 
-def _run_chunks(cfg: ExperimentConfig, chunk, points: list, tasks: list) -> list[list]:
-    """``chunk(cfg, points[zi], rng, chunk_idx, n)`` for every task on one
-    process per usable core; returns each grid point's results in task order.
+def _run_chunks(cfg: ExperimentConfig, chunk, points: list) -> list[tuple]:
+    """Each grid point's element-wise sums of ``chunk(cfg, point, rng, n)``
+    over the chunks of ``cfg.trials``, run on one process per usable core.
 
-    Each task draws from its own stream ``_rng(cfg, zi, chunk_idx)``, so its
-    result does not depend on which process runs it or on the other tasks.
+    Chunk c of grid point zi draws from its own stream ``_rng(cfg, zi, c)``,
+    so its result does not depend on which process runs it. The partials
+    are added left to right in chunk order, starting from 0, so float sums
+    are the same to the last bit for every number of processes (``sum``
+    compensates float additions from Python 3.12 on, so it is not used).
     """
-    def run(zi, chunk_idx, n):
-        return chunk(cfg, points[zi], _rng(cfg, zi, chunk_idx), chunk_idx, n)
+    sizes = list(core.chunk_sizes(cfg.trials, CHUNK))
+    tasks = [(zi, c, n) for zi in range(len(points)) for c, n in enumerate(sizes)]
 
-    per_point: list[list] = [[] for _ in points]
-    for (zi, _, _), result in zip(tasks, _map_chunks(run, tasks, usable_cores())):
-        per_point[zi].append(result)
-    return per_point
+    def run(zi, c, n):
+        return chunk(cfg, points[zi], _rng(cfg, zi, c), n)
+
+    parts = _map_chunks(run, tasks, usable_cores())
+    return [
+        tuple(functools.reduce(operator.add, column, 0) for column in zip(*parts[lo : lo + len(sizes)]))
+        for lo in range(0, len(parts), len(sizes))
+    ]
 
 
 class WorkerError(RuntimeError):
@@ -272,7 +291,7 @@ def _pair_errors(hat: np.ndarray, s: np.ndarray) -> int:
     return int(np.sum(hat[:, 0] != s[:, 0]) + np.sum(hat[:, 1] != s[:, 1]))
 
 
-def _ser_chunk(cfg, point, rng, chunk_idx, n):
+def _ser_chunk(cfg, point, rng, n):
     """One chunk of the SER sweep: (ID errors, MRC errors, successive errors, power2).
 
     ``power2`` is this chunk's sum of second-use powers.
@@ -297,18 +316,12 @@ def run_ser_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     points = []
     for zdb in cfg.zeta_db_grid:
         p = cfg.power_at(zdb)
-        const = model.constellation_for_power(p, cfg.q_s)
-        points.append((p, const, core.candidate_pairs(const), model.constellation_for_power(2.0 * p, cfg.q_s)))
-    per_point = _run_chunks(cfg, _ser_chunk, points, _chunk_tasks(cfg))
+        points.append((p, *_alphabet(p, cfg.q_s), model.constellation_for_power(2.0 * p, cfg.q_s)))
+    sums = _run_chunks(cfg, _ser_chunk, points)
 
     rows: list[SweepRow] = []
     id_scheme = f"id_{cfg.decoder}"
-    for zdb, parts in zip(cfg.zeta_db_grid, per_point):
-        id_err, mrc_err, succ_err = (sum(part[i] for part in parts) for i in range(3))
-        # Left to right in chunk order, so the float sum does not depend on workers.
-        power2 = 0.0
-        for part in parts:
-            power2 += part[3]
+    for zdb, (id_err, mrc_err, succ_err, power2) in zip(cfg.zeta_db_grid, sums):
         for scheme, err, symbols in (
             (id_scheme, id_err, 2 * cfg.trials),
             ("mrc_miso", mrc_err, cfg.trials),
@@ -319,7 +332,7 @@ def run_ser_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
                     experiment=cfg.experiment,
                     scheme=scheme,
                     zeta_db=float(zdb),
-                    trials_used=symbols,
+                    trials=symbols,
                     ser=err / symbols,
                     tx_power_use2=power2 / cfg.trials if scheme == id_scheme else None,
                 )
@@ -327,38 +340,33 @@ def run_ser_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     return rows
 
 
-def _rate_chunk(cfg, point, rng, chunk_idx, n):
-    """Chunk 0 of a rate grid point: its channel averages ``(C, R)`` over ``n`` draws.
-
-    Every later chunk: the ID decoder's pair-1 symbol errors on ``n`` frames.
-    """
+def _rate_chunk(cfg, point, rng, n):
+    """One chunk of the rate sweep over its ``n`` frames: the sums of the MISO
+    capacity and of the ID Gaussian rate over the frames' channels, and the
+    ID decoder's pair-1 symbol errors."""
     p, const, cands = point
-    if chunk_idx == 0:
-        h, g = model.draw_channels(cfg.k, N_ANTENNAS, n, rng)
-        c_mean = float(np.mean(analysis.capacity_miso(g, 2.0 * p, cfg.sigma2)))
-        return c_mean, float(np.mean(analysis.rate_total(h, p, cfg.sigma2)))
-    h, _, s, _, y = _id_frame_batch(cfg, const, n, rng)
-    return _pair_errors(_id_decode_batch(cfg, cands, h, y, p), s)
+    h, g, s, _, y = _id_frame_batch(cfg, const, n, rng)
+    c_sum = float(np.sum(analysis.capacity_miso(g, 2.0 * p, cfg.sigma2)))
+    r_sum = float(np.sum(analysis.rate_total(h, p, cfg.sigma2)))
+    return c_sum, r_sum, _pair_errors(_id_decode_batch(cfg, cands, h, y, p), s)
 
 
 def run_rate_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     """Normalized Gaussian rate, the one-bit floor, and the discrete Fano curve.
 
-    Rates and capacities are averaged over ``trials`` channel draws; the
-    Fano point reuses the same number of Monte Carlo frames for its error
-    probability.
+    Rates and capacities are averaged over the channels of the ``trials``
+    Monte Carlo frames whose pair errors give the Fano point.
     """
     points = []
     for zdb in cfg.zeta_db_grid:
         p = cfg.power_at(zdb)
-        const = model.constellation_for_power(p, cfg.q_s)
-        points.append((p, const, core.candidate_pairs(const)))
-    averages = [(zi, 0, cfg.trials) for zi in range(len(points))]
-    per_point = _run_chunks(cfg, _rate_chunk, points, averages + _chunk_tasks(cfg, first_chunk=1))
+        points.append((p, *_alphabet(p, cfg.q_s)))
+    sums = _run_chunks(cfg, _rate_chunk, points)
 
     rows: list[SweepRow] = []
-    for zdb, ((c_mean, r_mean), *errors) in zip(cfg.zeta_db_grid, per_point):
-        pe = sum(errors) / (2 * cfg.trials)
+    for zdb, (c_sum, r_sum, errors) in zip(cfg.zeta_db_grid, sums):
+        c_mean, r_mean = c_sum / cfg.trials, r_sum / cfg.trials
+        pe = errors / (2 * cfg.trials)
         fano = analysis.fano_rate_lower_bound(pe, cfg.q_s)
         rows.append(
             SweepRow(cfg.experiment, "id_gaussian", float(zdb), cfg.trials,
@@ -376,18 +384,17 @@ def run_rate_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
 
 
 def run_dmin_probe(cfg: ExperimentConfig) -> list[SweepRow]:
-    """Scaled minimum-distance floors for half-sizes doubling up to q_s."""
-    rows: list[SweepRow] = []
+    """Scaled minimum-distance floors for half-sizes doubling up to q_s, at unit power."""
+    points = []
     q = 2
-    grid = []
     while q <= max(2, cfg.q_s):
-        grid.append(q)
+        points.append(_alphabet(1.0, q))
         q *= 2
-    for qi, q_s in enumerate(grid):
-        rng = _rng(cfg, qi)
-        rep = analysis.dmin_probe(q_s, cfg.trials, rng, k=cfg.k)
+    rows: list[SweepRow] = []
+    for qi, (const, cands) in enumerate(points):
+        rep = analysis.dmin_probe(const, cands, cfg.trials, _rng(cfg, qi), k=cfg.k)
         rows.append(
-            SweepRow(cfg.experiment, f"qs={q_s}", None, cfg.trials,
+            SweepRow(cfg.experiment, f"qs={const.q_s}", None, cfg.trials,
                      bound_value=rep.floor, normalized_rate=rep.median)
         )
     return rows
@@ -409,27 +416,27 @@ def run_dof_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     return rows
 
 
-def _multicast_chunk(cfg, const, rng, chunk_idx, n):
+def _multicast_chunk(cfg, point, rng, n):
     """One chunk of the multicast sweep: each user's errors on its own symbol."""
+    const, cands = point
     gains = model._signed_rayleigh(rng, (n, 3))
     s = const.draw(rng, size=(n, 3))
     _, x = multicast.multicast_precode(s)
     errors = []
     for u in range(3):
         y = multicast.multicast_observe(x, gains[:, u], cfg.sigma2, rng)
-        s_hat = multicast.multicast_decode(y, gains[:, u], const)
+        s_hat = multicast.multicast_decode(y, gains[:, u], cands, const)
         errors.append(int(np.sum(s_hat[:, u] != s[:, u])))
     return errors
 
 
 def run_multicast(cfg: ExperimentConfig) -> list[SweepRow]:
     """Per-user SER of the three-user multicast scheme, plus throughput."""
-    points = [model.constellation_for_power(cfg.power_at(zdb), cfg.q_s) for zdb in cfg.zeta_db_grid]
-    per_point = _run_chunks(cfg, _multicast_chunk, points, _chunk_tasks(cfg))
+    points = [_alphabet(cfg.power_at(zdb), cfg.q_s) for zdb in cfg.zeta_db_grid]
+    sums = _run_chunks(cfg, _multicast_chunk, points)
     rows: list[SweepRow] = []
-    for zdb, parts in zip(cfg.zeta_db_grid, per_point):
-        for u in range(3):
-            err = sum(part[u] for part in parts)
+    for zdb, errors in zip(cfg.zeta_db_grid, sums):
+        for u, err in enumerate(errors):
             rows.append(SweepRow(cfg.experiment, f"user{u + 1}", float(zdb), cfg.trials, ser=err / cfg.trials))
     rows.append(
         SweepRow(cfg.experiment, "throughput_symbols_per_use", None, 0,
@@ -464,22 +471,7 @@ def rows_to_csv(rows: list[SweepRow], emit_plot_data: bool = False) -> str:
     cols = CSV_COLUMNS + (PLOT_COLUMNS if emit_plot_data else [])
     lines = [",".join(cols)]
     for r in rows:
-        rec = {
-            "experiment": r.experiment,
-            "scheme": r.scheme,
-            "zeta_db": r.zeta_db,
-            "trials": r.trials_used,
-            "ser": r.ser,
-            "ser_stderr": r.ser_stderr,
-            "rate_bits_per_use": r.rate_bits_per_use,
-            "normalized_rate": r.normalized_rate,
-            "bound_value": r.bound_value,
-            "tx_power_use2": r.tx_power_use2,
-        }
-        if emit_plot_data:
-            rec["zeta_linear"] = None if r.zeta_db is None else 10.0 ** (r.zeta_db / 10.0)
-            rec["log10_ser"] = None if not r.ser else float(np.log10(r.ser))
-        lines.append(",".join(_fmt(rec[c]) for c in cols))
+        lines.append(",".join(_fmt(getattr(r, c)) for c in cols))
     return "\n".join(lines) + "\n"
 
 

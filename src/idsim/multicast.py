@@ -6,8 +6,8 @@ s2 (beta = 1 + alpha*s3/s2) and sends s2 - beta*s1. Every user sees
     (y1, y2) = h_i * [ (s1, s2) + beta (s2, -s1) ] + noise,
 
 decodes the pair with the weight rule, and user 3 recovers s3 from the
-first-use residual alpha*h3*s3. The irrational alpha keeps beta generic so
-the pair stays separable.
+first-use residual alpha*h3*s3. The irrational alpha = ALPHA = sqrt(3)/2
+keeps beta generic so the pair stays separable.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from . import core
 from .analysis import fano_rate_lower_bound
 from .model import PamConstellation, constellation_for_power
 
-ALPHA_DEFAULT = float(np.sqrt(3.0) / 2.0)
+ALPHA = float(np.sqrt(3.0) / 2.0)
 
 SYMBOLS_PER_USE = 1.5
 
@@ -26,13 +26,13 @@ SYMBOLS_PER_USE = 1.5
 S3_CHUNK = 4096
 
 
-def multicast_precode(s: np.ndarray, alpha: float = ALPHA_DEFAULT) -> tuple[np.ndarray, np.ndarray]:
+def multicast_precode(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Precode frames s = (..., 3) into beta (...,) and the two sent signals (..., 2).
 
     All three symbols leave one antenna, so this is ``core.dissolve`` at unit
     gains with alpha*s3 as the interference: x = (s1 + s2 + alpha*s3, s2 - beta*s1).
     """
-    return core.dissolve(np.ones(2), s[..., :2], alpha * s[..., 2])
+    return core.dissolve(np.ones(2), s[..., :2], ALPHA * s[..., 2])
 
 
 def multicast_observe(
@@ -50,40 +50,28 @@ def multicast_observe(
     return y
 
 
-def multicast_decode(
-    y: np.ndarray,
-    h: np.ndarray,
-    const: PamConstellation,
-    s3_const: PamConstellation | None = None,
-    alpha: float = ALPHA_DEFAULT,
-) -> np.ndarray:
+def multicast_decode(y: np.ndarray, h: np.ndarray, cands: np.ndarray, s3_const: PamConstellation) -> np.ndarray:
     """Estimates (n, 3) of (s1, s2, s3) from observations y (n, 2) on gains h (n,).
 
-    The pair is decoded with the weight rule over ``const``; s3 is read from
-    the first-use residual over ``s3_const`` (default ``const``).
+    The pair is decoded with the weight rule over the candidate pairs
+    ``cands`` (``core.candidate_pairs``); s3 is read from the first-use
+    residual over ``s3_const``.
     """
-    cands = core.candidate_pairs(const)
     pair = core.pair_decode(y, np.stack([h, h], axis=-1), 1, cands)
-    s3 = multicast_decode_s3(y[:, 0], h, pair[:, 0], pair[:, 1], alpha, const if s3_const is None else s3_const)
+    s3 = multicast_decode_s3(y[:, 0], h, pair[:, 0], pair[:, 1], s3_const)
     return np.column_stack([pair, s3])
 
 
-def multicast_decode_s3(y1_user3, h3, s1_hat, s2_hat, alpha: float, const: PamConstellation):
+def multicast_decode_s3(y1_user3, h3, s1_hat, s2_hat, const: PamConstellation):
     """Strip the decoded pair from user 3's first observation and decode s3.
 
     Takes scalars or equal-shape arrays, one entry per frame.
     """
     residual = y1_user3 - h3 * (s1_hat + s2_hat)
-    return const.nearest(residual / (alpha * h3))
+    return const.nearest(residual / (ALPHA * h3))
 
 
-def s3_rate_slope(
-    p_grid,
-    epsilon: float,
-    trials: int,
-    rng: np.random.Generator,
-    alpha: float = ALPHA_DEFAULT,
-) -> list[tuple[float, float]]:
+def s3_rate_slope(p_grid, epsilon: float, trials: int, rng: np.random.Generator) -> list[tuple[float, float]]:
     """Fano-rate slope of s3 against (1/2) log2 P at user 3.
 
     The pair keeps the half-size 2 while s3's half-size grows as
@@ -97,13 +85,14 @@ def s3_rate_slope(
     for p in np.asarray(p_grid, dtype=float):
         q3 = max(1, int(round(p ** ((1.0 - epsilon) / 2.0))))
         pair_const = constellation_for_power(p, 2)
+        pair_cands = core.candidate_pairs(pair_const)
         s3_const = constellation_for_power(p, q3)
         errors = 0
         for n in core.chunk_sizes(trials, S3_CHUNK):
             s = np.column_stack([pair_const.draw(rng, size=(n, 2)), s3_const.draw(rng, size=n)])
             h = np.ones(n)
-            y = multicast_observe(multicast_precode(s, alpha)[1], h, 1.0, rng)
-            s3_hat = multicast_decode(y, h, pair_const, s3_const, alpha)[:, 2]
+            y = multicast_observe(multicast_precode(s)[1], h, 1.0, rng)
+            s3_hat = multicast_decode(y, h, pair_cands, s3_const)[:, 2]
             errors += int(np.sum(s3_hat != s[:, 2]))
         pe = errors / trials
         bound = fano_rate_lower_bound(pe, q3)

@@ -155,7 +155,7 @@ class TestDminExhaustive:
         assert expected[(1.0, -1.0)] == pytest.approx(0.0, abs=1e-12)
         assert expected[(-1.0, 1.0)] == pytest.approx(8.0)
         assert expected[(-1.0, -1.0)] == pytest.approx(8.0)
-        d2 = analysis.dmin_batch(np.array([[1.0, 1.0]]), np.zeros(1), np.ones(1), const)
+        d2 = analysis.dmin_batch(np.array([[1.0, 1.0]]), np.zeros(1), np.ones(1), core.candidate_pairs(const))
         assert d2[0] == pytest.approx(min(expected.values()), abs=1e-12)
 
     def test_matches_loop_oracle(self):
@@ -178,12 +178,13 @@ class TestDminExhaustive:
                     best = min(best, w**2)
             draws.append((h, s, (beta - 1.0) * h * s[1], best))
         h, s, interference, best = (np.array(col) for col in zip(*draws))
-        got = analysis.dmin_batch(s, interference, h, const)
+        got = analysis.dmin_batch(s, interference, h, core.candidate_pairs(const))
         np.testing.assert_allclose(got, best, rtol=1e-9, atol=1e-15)
 
     def test_positive_on_continuous_channels(self):
         """Generic draws keep the minimum distance strictly positive."""
-        rep = analysis.dmin_probe(8, 100_000, np.random.default_rng(17), k=4)
+        const = model.constellation_for_power(1.0, 8)
+        rep = analysis.dmin_probe(const, core.candidate_pairs(const), 100_000, np.random.default_rng(17), k=4)
         assert rep.floor > 0.0
         assert rep.samples == 100_000
 

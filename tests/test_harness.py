@@ -8,11 +8,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import idsim
-from idsim import cli, core, harness, model, multicast
+from idsim import analysis, cli, core, harness, model, multicast
 
 # The directory idsim was imported from, so that subprocesses run the same
 # code whether or not the package is installed.
@@ -85,7 +85,7 @@ class TestSerSweep:
     def test_stderr_column_binomial(self):
         rows = harness.run_ser_sweep(small_cfg())
         for r in rows:
-            expect = np.sqrt(r.ser * (1 - r.ser) / r.trials_used)
+            expect = np.sqrt(r.ser * (1 - r.ser) / r.trials)
             assert r.ser_stderr == pytest.approx(expect, rel=1e-12)
 
     def test_zero_noise_id_error_free(self):
@@ -260,6 +260,35 @@ class TestWorkers:
         assert rows == harness.run_experiment(small_cfg(trials=3 * harness.CHUNK))
 
 
+# Sweep configs for the worker-count property: ser and rate take k and the
+# decoder, multicast neither.
+_SWEEP_CONFIGS = st.one_of(
+    st.fixed_dictionaries({
+        "experiment": st.sampled_from(["ser", "rate"]),
+        "k": st.integers(2, 5),
+        "q_s": st.integers(1, 4),
+        "decoder": st.sampled_from([core.WEIGHT, core.ML]),
+    }),
+    st.fixed_dictionaries({"experiment": st.just("multicast"), "q_s": st.integers(1, 4)}),
+)
+_SMALL_CHUNK = 16
+
+
+@settings(max_examples=25, deadline=None)
+@given(_SWEEP_CONFIGS, st.integers(1, 7 * _SMALL_CHUNK // 2), st.integers(0, 2**32 - 1))
+def test_csv_independent_of_worker_count_over_configs(kw, trials, seed):
+    """Any sweep config over 1 to 3.5 chunks gives the same bytes on 1, 2
+    and 3 workers."""
+    texts = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "CHUNK", _SMALL_CHUNK)
+        for workers in (1, 2, 3):
+            mp.setattr(harness, "usable_cores", lambda: workers)
+            cfg = harness.ExperimentConfig(zeta_db_grid=[0.0, 20.0], trials=trials, seed=seed, **kw)
+            texts.append(harness.rows_to_csv(harness.run_experiment(cfg)))
+    assert texts[0] == texts[1] == texts[2]
+
+
 class TestRateSweep:
     def test_floor_matches_capacity_algebra(self):
         """normalized = 1 - 1/C reproduces exactly from the bound column C - 1."""
@@ -279,6 +308,37 @@ class TestRateSweep:
         rows = [r for r in harness.run_rate_sweep(cfg) if r.scheme == "fano_discrete"]
         assert 0.0 <= rows[0].ser <= 1.0
         assert rows[0].rate_bits_per_use >= 0.0
+
+    def test_channel_draws_bounded_by_chunk(self, monkeypatch):
+        """No channel draw is larger than one chunk, however many trials run."""
+        monkeypatch.setattr(harness, "usable_cores", lambda: 1)
+        counts = []
+        draw_channels = model.draw_channels
+
+        def counting(k, n, count, rng):
+            counts.append(count)
+            return draw_channels(k, n, count, rng)
+
+        monkeypatch.setattr(model, "draw_channels", counting)
+        harness.run_rate_sweep(small_cfg(experiment="rate", zeta_db_grid=[10.0], trials=7 * harness.CHUNK // 2))
+        assert max(counts) == harness.CHUNK and sum(counts) == 7 * harness.CHUNK // 2
+
+    def test_gaussian_rate_averages_the_frames_channels(self):
+        """id_gaussian averages the rate, and its normalization the capacity,
+        over the channels of the frames whose errors give the Fano row."""
+        cfg = small_cfg(experiment="rate", zeta_db_grid=[10.0], trials=5 * harness.CHUNK // 2)
+        row = harness.run_rate_sweep(cfg)[0]
+        assert row.scheme == "id_gaussian"
+        p = cfg.power_at(10.0)
+        const = model.constellation_for_power(p, cfg.q_s)
+        rates, capacities = [], []
+        for c, n in enumerate(core.chunk_sizes(cfg.trials, harness.CHUNK)):
+            h, g, *_ = harness._id_frame_batch(cfg, const, n, harness._rng(cfg, 0, c))
+            rates.append(analysis.rate_total(h, p, cfg.sigma2))
+            capacities.append(analysis.capacity_miso(g, 2.0 * p, cfg.sigma2))
+        rate, capacity = np.mean(np.concatenate(rates)), np.mean(np.concatenate(capacities))
+        assert row.rate_bits_per_use == pytest.approx(rate, rel=1e-12)
+        assert row.normalized_rate == pytest.approx(rate / capacity, rel=1e-12)
 
 
 class TestDminAndDofSweeps:
@@ -308,13 +368,14 @@ class TestDminAndDofSweeps:
         cfg = small_cfg(experiment="multicast", trials=500, zeta_db_grid=[10.0])
         rows = harness.run_multicast(cfg)
         const = model.constellation_for_power(cfg.power_at(10.0), cfg.q_s)
+        cands = core.candidate_pairs(const)
         rng = harness._rng(cfg, 0, 0)
         gains = model._signed_rayleigh(rng, (cfg.trials, 3))
         s = const.draw(rng, size=(cfg.trials, 3))
         _, x = multicast.multicast_precode(s)
         for u in range(3):
             y = multicast.multicast_observe(x, gains[:, u], cfg.sigma2, rng)
-            s_hat = multicast.multicast_decode(y, gains[:, u], const)
+            s_hat = multicast.multicast_decode(y, gains[:, u], cands, const)
             assert rows[u].ser == pytest.approx(np.mean(s_hat[:, u] != s[:, u]), rel=1e-12)
 
 
@@ -471,10 +532,21 @@ class TestCliEndToEnd:
         assert cli.main(["dof", f"--snr-db={snr}", "--trials", "10"]) == 1
         assert "0 dB" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("args", [("dof", "--snr-db", "20,300"), ("ser", "--qs", "91")])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("dof", "--snr-db", "20,300"),
+            ("ser", "--qs", "91"),
+            ("multicast", "--qs", "91"),
+            ("dmin", "--qs", "128"),
+            ("ser", "--qs", "1" + "0" * 399),
+        ],
+    )
     def test_alphabet_too_large_to_enumerate_exits_nonzero(self, args, tmp_path):
         """Above half-size 90 the candidate pairs exceed one decoding block:
-        dof at 300 dB would ask for 2e15 bytes of them."""
+        dof at 300 dB would ask for 2e15 bytes of them. dmin's doubling grid
+        first passes 90 at 128, and a 400-digit half-size, too large for a
+        float, fails before an alphabet is scaled with it."""
         out = tmp_path / "out.csv"
         res = self.run_cli(*args, "--trials", "10", "--out", str(out))
         assert res.returncode == 1
@@ -561,15 +633,20 @@ class TestBlasThreads:
 
 # Invalid values of each flag, as (subcommand, flag, value, exit code): 1 for
 # values the run rejects, 2 for argparse usage errors. None starts a sweep.
-# Half-sizes above 90 stop at 200, so that a run which skipped the candidate
-# budget would build arrays of megabytes, not gigabytes, before it failed.
+# Half-sizes above 90 (dmin: its doubling grid's 128) stop at 200, so that a
+# run which skipped the candidate budget would build arrays of megabytes, not
+# gigabytes, before it failed; the others have 151 to 400 digits, too large
+# for a float.
 _ALL = ["ser", "rate", "dmin", "dof", "multicast"]
 _SNR_RUNS = ["ser", "rate", "dof", "multicast"]
+_HUGE_HALF_SIZES = st.integers(10**150, 10**400 - 1)
 _INVALID_FLAGS = st.one_of(
     st.tuples(st.sampled_from(["ser", "rate", "dof"]), st.just("--k"), st.integers(max_value=1), st.just(1)),
     st.tuples(st.just("dmin"), st.just("--k"), st.integers(max_value=2), st.just(1)),
     st.tuples(st.sampled_from(["ser", "rate", "dmin", "multicast"]), st.just("--qs"), st.integers(max_value=0), st.just(1)),
-    st.tuples(st.sampled_from(["ser", "rate"]), st.just("--qs"), st.integers(91, 200), st.just(1)),
+    st.tuples(st.sampled_from(["ser", "rate", "multicast"]), st.just("--qs"),
+              st.one_of(st.integers(91, 200), _HUGE_HALF_SIZES), st.just(1)),
+    st.tuples(st.just("dmin"), st.just("--qs"), st.one_of(st.integers(128, 200), _HUGE_HALF_SIZES), st.just(1)),
     st.tuples(st.sampled_from(_ALL), st.just("--trials"), st.integers(max_value=0), st.just(1)),
     st.tuples(st.just("dof"), st.just("--epsilon"), st.floats().filter(lambda e: not 0.0 < e < 1.0), st.just(1)),
     st.tuples(
@@ -595,6 +672,9 @@ _INVALID_FLAGS = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(_INVALID_FLAGS)
+@example(("multicast", "--qs", 91, 1))
+@example(("dmin", "--qs", 128, 1))
+@example(("ser", "--qs", 10**399, 1))
 def test_invalid_flag_value_exits_nonzero(case):
     """Any invalid value exits 1 (or 2 from argparse) before a channel is
     drawn or a worker forked, and writes no CSV."""

@@ -5,10 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
-from idsim import model, multicast
+from idsim import core, model, multicast
 
 
-ALPHA = multicast.ALPHA_DEFAULT
+ALPHA = multicast.ALPHA
 
 
 class TestTransmit:
@@ -27,10 +27,10 @@ class TestTransmit:
         np.testing.assert_allclose(beta * s[:, 1] - ALPHA * s[:, 2], s[:, 1], rtol=1e-12)
 
     def test_default_alpha(self):
-        s = np.array([1.0, 1.0, 1.0])
+        """alpha = sqrt(3)/2: s = (1, 1, 1) gives beta = 1 + alpha."""
         assert ALPHA == pytest.approx(np.sqrt(3.0) / 2.0, rel=1e-15)
-        for got, expected in zip(multicast.multicast_precode(s), multicast.multicast_precode(s, np.sqrt(3.0) / 2.0)):
-            np.testing.assert_array_equal(got, expected)
+        beta, _ = multicast.multicast_precode(np.array([1.0, 1.0, 1.0]))
+        assert beta == 1.0 + ALPHA
 
     def test_zero_s2_rejected(self):
         with pytest.raises(ValueError):
@@ -46,12 +46,13 @@ class TestReceiveDecode:
     def test_noiseless_exact_all_users_small_alphabet(self):
         rng = np.random.default_rng(3)
         const = model.constellation_for_power(1.0, 2)
+        cands = core.candidate_pairs(const)
         gains = model._signed_rayleigh(rng, 3)
         s = every_frame(const)
         _, x = multicast.multicast_precode(s)
         for h_i in gains:
             h = np.full(len(s), h_i)
-            got = multicast.multicast_decode(multicast.multicast_observe(x, h, None), h, const)
+            got = multicast.multicast_decode(multicast.multicast_observe(x, h, None), h, cands, const)
             np.testing.assert_array_equal(got[:, :2], s[:, :2])
 
     def test_totality_under_heavy_noise(self):
@@ -59,7 +60,7 @@ class TestReceiveDecode:
         const = model.constellation_for_power(1.0, 2)
         _, x = multicast.multicast_precode(np.tile([1.0, 1.0, const.points[0]], (20, 1)))
         h = np.full(20, 0.8)
-        got = multicast.multicast_decode(multicast.multicast_observe(x, h, 1e6, rng), h, const)
+        got = multicast.multicast_decode(multicast.multicast_observe(x, h, 1e6, rng), h, core.candidate_pairs(const), const)
         assert np.isin(got[:, :2], const.points).all()
 
 
@@ -72,7 +73,7 @@ class TestDecodeS3:
         s = np.column_stack([np.ones(size), -np.ones(size), const.points])
         h3 = model._signed_rayleigh(rng, size)
         y = multicast.multicast_observe(multicast.multicast_precode(s)[1], h3, None)
-        got = multicast.multicast_decode_s3(y[:, 0], h3, 1.0, -1.0, ALPHA, const)
+        got = multicast.multicast_decode_s3(y[:, 0], h3, 1.0, -1.0, const)
         np.testing.assert_array_equal(got, const.points)
 
     def test_pair_error_propagates(self):
@@ -80,8 +81,8 @@ class TestDecodeS3:
         const = model.PamConstellation(1.0, 2)
         _, x = multicast.multicast_precode(np.array([2.0, 1.0, 1.0]))
         y = multicast.multicast_observe(x, 1.0, None)
-        right = multicast.multicast_decode_s3(y[0], 1.0, 2.0, 1.0, ALPHA, const)
-        wrong = multicast.multicast_decode_s3(y[0], 1.0, 1.0, 1.0, ALPHA, const)
+        right = multicast.multicast_decode_s3(y[0], 1.0, 2.0, 1.0, const)
+        wrong = multicast.multicast_decode_s3(y[0], 1.0, 1.0, 1.0, const)
         assert right == 1.0
         assert wrong != 1.0
 
