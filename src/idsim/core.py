@@ -124,7 +124,12 @@ def check_half_size(q_s: int) -> None:
                          f"the half-size must be at most {MAX_HALF_SIZE}")
 
 
-def weight_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, out=None) -> np.ndarray:
+def _odd_part(r: np.ndarray, cands: np.ndarray, out, fold) -> np.ndarray:
+    """r @ cands^T into ``out``, or into ``fold`` with its absolute value into ``out``."""
+    return np.matmul(r, cands.T, out=out) if fold is None else np.abs(np.matmul(r, cands.T, out=fold), out=out)
+
+
+def weight_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, out=None, fold=None) -> np.ndarray:
     """Weight of every candidate pair for a batch of observations.
 
     y: (..., 2) observations, h_pair: (..., 2) pair gains (broadcast
@@ -134,7 +139,9 @@ def weight_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, out=None
     A = <y, v> = (y * h_pair) @ cands^T and B = ||v||^2 = h_pair^2 @ (cands^2)^T,
     so the weight is |A - B| / sqrt(B) and no (..., C, 2) array is built.
     ``out``, if given, holds at least two (..., C) float64 buffers; the
-    result is written into the first.
+    result is written into the first. ``fold``, if given, is one more: A is
+    written into it and |A| scored in its place, so each value is the
+    smaller weight of cand and -cand (``argmin_metric``).
 
     The weight rule is a GLRT: ML with beta an unknown real parameter.
     {v, v_perp} / ||v|| is an orthonormal basis of R^2, so
@@ -142,7 +149,7 @@ def weight_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, out=None
     and weight^2 = min over beta of ||y - v - beta v_perp||^2.
     """
     w, energy = out[:2] if out is not None else (None, None)
-    w = np.matmul(y * h_pair, cands.T, out=w)
+    w = _odd_part(y * h_pair, cands, w, fold)
     energy = np.matmul(h_pair * h_pair, (cands * cands).T, out=energy)
     w -= energy
     np.abs(w, out=w)
@@ -164,6 +171,7 @@ def ml_metric_matrix(
     interference_power: np.ndarray,
     sigma2: float,
     out=None,
+    fold=None,
 ) -> np.ndarray:
     """Full-covariance likelihood metric for every candidate pair.
 
@@ -176,19 +184,26 @@ def ml_metric_matrix(
         ||y - v||^2 - I <y, vperp>^2 / (sigma2 (h_b cand_b)^2 + I ||v||^2),
 
     using <v, vperp> = 0. Each (..., C) operand is one matrix product:
-    ||y - v||^2 = [||y||^2, -2 y0 h0, -2 y1 h1, h0^2, h1^2] @ [1, ca, cb, ca^2, cb^2]^T,
-    sqrt(I) <y, vperp> = sqrt(I) [y0 h1, y1 h0] @ [cb, -ca]^T, and the
-    denominator is [I h0^2, (sigma2 + I) h1^2] @ [ca^2, cb^2]^T. Where the
-    denominator is zero, so is the numerator, and the correction is 0.
-    y and h_pair have the same shape; ``out``, if given, holds at least
-    three (..., C) float64 buffers, and the result is written into the first.
+    ||y - v||^2 = E - 2 A, with the even product
+    E = [||y||^2, h0^2, h1^2] @ [1, ca^2, cb^2]^T and the odd product
+    A = (y * h_pair) @ cands^T; sqrt(I) <y, vperp> = sqrt(I) [y0 h1, y1 h0] @ [cb, -ca]^T;
+    and the denominator is [I h0^2, (sigma2 + I) h1^2] @ [ca^2, cb^2]^T.
+    Where the denominator is zero, so is the numerator, and the correction
+    is 0. y and h_pair have the same shape; ``out``, if given, holds at
+    least three (..., C) float64 buffers, and the result is written into
+    the first. ``fold``, if given, is one more: A is written into it and |A|
+    scored in its place. The correction is even in the candidate, so each
+    value is then the smaller metric of cand and -cand (``argmin_metric``).
     """
     d_sq, proj, denom = out[:3] if out is not None else (None, None, None)
     ipow = np.asarray(interference_power, dtype=float)
     h_sq = h_pair * h_pair
     c_sq = cands * cands
-    y_terms = np.concatenate([np.sum(y * y, axis=-1, keepdims=True), -2.0 * (y * h_pair), h_sq], axis=-1)
-    d_sq = np.matmul(y_terms, np.column_stack([np.ones(len(cands)), cands, c_sq]).T, out=d_sq)
+    y_even = np.concatenate([np.sum(y * y, axis=-1, keepdims=True), h_sq], axis=-1)
+    even = np.matmul(y_even, np.column_stack([np.ones(len(cands)), c_sq]).T, out=proj)
+    d_sq = _odd_part(y * h_pair, cands, d_sq, fold)
+    d_sq *= -2.0
+    d_sq += even
     y_rot = np.sqrt(ipow)[..., None] * (y * h_pair[..., ::-1])
     proj = np.matmul(y_rot, (cands[:, ::-1] * [1.0, -1.0]).T, out=proj)
     proj *= proj
@@ -199,7 +214,7 @@ def ml_metric_matrix(
     return d_sq
 
 
-def known_beta_metric_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, beta, out=None) -> np.ndarray:
+def known_beta_metric_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, beta, out=None, fold=None) -> np.ndarray:
     """Squared distance ||y - v - beta * v_perp||^2 of every candidate pair.
 
     With beta known to the receiver the observation is Gaussian around
@@ -207,16 +222,18 @@ def known_beta_metric_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarra
     (K = 2) beta = 1 deterministically.
 
     y: (..., 2), h_pair: (..., 2), beta: scalar or (...,). Expanding the
-    square with <v, v_perp> = 0 gives
-    ||y||^2 - 2 [(y0 - beta y1) h0, (beta y0 + y1) h1] @ cands^T + (1 + beta^2) B,
-    with B = ||v||^2 as in ``weight_matrix``. ``out``, if given, holds at
-    least two (..., C) float64 buffers; the result is written into the first.
+    square with <v, v_perp> = 0 gives ||y||^2 - 2 X + (1 + beta^2) B, with
+    X = [(y0 - beta y1) h0, (beta y0 + y1) h1] @ cands^T and B = ||v||^2 as
+    in ``weight_matrix``. ``out``, if given, holds at least two (..., C)
+    float64 buffers; the result is written into the first. ``fold``, if
+    given, is one more: X is written into it and |X| scored in its place,
+    so each value is the smaller distance of cand and -cand (``argmin_metric``).
     """
     d2, energy = out[:2] if out is not None else (None, None)
     beta = np.asarray(beta, dtype=float)
     y0, y1 = y[..., 0], y[..., 1]
     y_mix = np.stack([(y0 - beta * y1) * h_pair[..., 0], (beta * y0 + y1) * h_pair[..., 1]], axis=-1)
-    d2 = np.matmul(y_mix, cands.T, out=d2)
+    d2 = _odd_part(y_mix, cands, d2, fold)
     d2 *= -2.0
     energy = np.matmul(h_pair * h_pair, (cands * cands).T, out=energy)
     energy *= (1.0 + beta * beta)[..., None]
@@ -225,42 +242,60 @@ def known_beta_metric_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarra
     return d2
 
 
-# Values per block in ``argmin_metric``: each of its METRIC_BUFFERS (rows, C)
+# Values per block in ``argmin_metric``: each of its METRIC_BUFFERS (rows, C/2)
 # float64 buffers holds at most 256 KiB, so all of them stay in a 2 MiB L2
 # cache while a block is scored. At most BLOCK_ROWS rows keep the metrics'
-# per-row operands, up to (rows, 5) float64, under glibc's 128 KiB mmap
+# per-row operands, up to (rows, 3) float64, under glibc's 128 KiB mmap
 # threshold, so they come from the heap instead of being mapped and
-# page-faulted afresh in every block; this binds only below C = 16.
+# page-faulted afresh in every block; this binds only below C = 32.
 BLOCK_VALUES = 1 << 15
 BLOCK_ROWS = 1 << 11
-METRIC_BUFFERS = 3
+METRIC_BUFFERS = 4
 # The candidate budget: the largest half-size whose (2 q_s)^2 <= BLOCK_VALUES
-# pairs fit one block, 90.
+# pairs fit one block, 90. Folded, a row scores only half of them.
 MAX_HALF_SIZE = int(np.sqrt(BLOCK_VALUES)) // 2
 
 
 def argmin_metric(metric, y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, *args) -> np.ndarray:
-    """Per-row index of the smallest ``metric(y, h_pair, cands, *args)``.
+    """Per-row index into ``cands`` of the smallest ``metric(y, h_pair, cands, *args)``.
+
+    ``cands`` (C, 2) must be antipodal, ``cands[C-1-i] == -cands[i]``, as
+    ``candidate_pairs`` is, or ValueError is raised before anything is
+    scored. Every metric is an even part minus an odd part odd = r @ cand,
+    so only the back half ``cands[C//2:]`` is scored: the metric writes odd
+    into its ``fold`` buffer and scores |odd|, the better of cand and -cand.
+    The argmin j over the half names C//2 + j where odd > 0, else its
+    antipode C//2 - 1 - j, the earlier one of a tied pair.
 
     y and h_pair are (n, 2); an array in ``args`` holds one value per row
     and is sliced with them, a scalar is passed as it is. The metric is
     evaluated on blocks of about ``BLOCK_VALUES`` values, so no (n, C) array
     is built; every row is scored on its own, so the result is the row-wise
-    argmin of the whole (n, C) metric. The block buffers are allocated once
-    and passed to the metric as ``out``, so scoring a block allocates no
-    (rows, C) array.
+    argmin of the whole (n, C) metric; only an exact tie between two pairs
+    goes to the pair whose back-half member comes first. The block buffers
+    are allocated once and passed as ``out`` and, the last, ``fold``, so
+    scoring a block allocates no (rows, C/2) array.
     """
     n, c = len(y), len(cands)
-    rows = max(1, min(n, BLOCK_ROWS, BLOCK_VALUES // c))
-    bufs = [np.empty((rows, c)) for _ in range(METRIC_BUFFERS)]
+    if c % 2 or not np.array_equal(cands[::-1], -cands):
+        raise ValueError("candidate pairs must be antipodal: cands[C-1-i] == -cands[i]")
+    half = c // 2
+    back = cands[half:]
+    rows = max(1, min(n, BLOCK_ROWS, BLOCK_VALUES // half))
+    *bufs, odd_buf = [np.empty((rows, half)) for _ in range(METRIC_BUFFERS)]
+    starts = np.arange(rows) * half  # flat index of each row in odd_buf
     idx = np.empty(n, dtype=np.intp)
+    odd = np.empty(n)
     for lo in range(0, n, rows):
         block = slice(lo, lo + rows)
         m = min(rows, n - lo)
         part = [a[block] if np.ndim(a) else a for a in args]
-        out = [b[:m] for b in bufs] if m < rows else bufs
-        np.argmin(metric(y[block], h_pair[block], cands, *part, out=out), axis=1, out=idx[block])
-    return idx
+        out, fold = ([b[:m] for b in bufs], odd_buf[:m]) if m < rows else (bufs, odd_buf)
+        np.argmin(metric(y[block], h_pair[block], back, *part, out=out, fold=fold), axis=1, out=idx[block])
+        np.take(odd_buf, starts[:m] + idx[block], out=odd[block], mode="clip")
+    # idx ^ -1 == -1 - idx: C//2 + j where odd > 0, else C//2 - 1 - j, without
+    # np.where's branch per row, which mispredicts on random signs.
+    return half + (idx ^ np.subtract(odd > 0, 1, dtype=np.intp))
 
 
 def pair_decode(y, h, m, cands, decoder=WEIGHT, p=None, sigma2=None) -> np.ndarray:
@@ -270,7 +305,10 @@ def pair_decode(y, h, m, cands, decoder=WEIGHT, p=None, sigma2=None) -> np.ndarr
     ``WEIGHT`` takes the weight argmin. ``ML`` takes the known-beta argmin
     at K = 2, where beta = 1, and otherwise the full-covariance likelihood,
     which models the interferers as zero-mean with per-symbol power ``p``
-    in noise of variance ``sigma2``. Ties resolve to the first candidate.
+    in noise of variance ``sigma2``. ``cands`` must be antipodal
+    (``argmin_metric``). A tie within an antipodal pair resolves to the
+    first candidate; an exact tie between two pairs goes to the pair whose
+    back-half member (first member positive) comes first.
     """
     k = h.shape[-1]
     a, b = pair_members(k, m)

@@ -355,7 +355,9 @@ def run_rate_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     """Normalized Gaussian rate, the one-bit floor, and the discrete Fano curve.
 
     Rates and capacities are averaged over the channels of the ``trials``
-    Monte Carlo frames whose pair errors give the Fano point.
+    Monte Carlo frames whose pair errors give the Fano point. The Fano row's
+    SER counts errors over both symbols of pair 1, so its ``trials`` is that
+    symbol count, as in the ``ser`` sweep's ID rows.
     """
     points = []
     for zdb in cfg.zeta_db_grid:
@@ -364,9 +366,10 @@ def run_rate_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     sums = _run_chunks(cfg, _rate_chunk, points)
 
     rows: list[SweepRow] = []
+    symbols = 2 * cfg.trials
     for zdb, (c_sum, r_sum, errors) in zip(cfg.zeta_db_grid, sums):
         c_mean, r_mean = c_sum / cfg.trials, r_sum / cfg.trials
-        pe = errors / (2 * cfg.trials)
+        pe = errors / symbols
         fano = analysis.fano_rate_lower_bound(pe, cfg.q_s)
         rows.append(
             SweepRow(cfg.experiment, "id_gaussian", float(zdb), cfg.trials,
@@ -377,7 +380,7 @@ def run_rate_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
                      normalized_rate=max(0.0, 1.0 - 1.0 / c_mean), bound_value=c_mean - 1.0)
         )
         rows.append(
-            SweepRow(cfg.experiment, "fano_discrete", float(zdb), cfg.trials,
+            SweepRow(cfg.experiment, "fano_discrete", float(zdb), symbols,
                      ser=pe, rate_bits_per_use=fano, normalized_rate=fano / (c_mean / 2.0))
         )
     return rows

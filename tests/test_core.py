@@ -121,6 +121,12 @@ class TestPairing:
 
 
 class TestCandidatePairs:
+    @pytest.mark.parametrize("q_s", [1, 2, 8, 90])
+    def test_antipodal(self, q_s):
+        """cands[C-1-i] == -cands[i], the fold ``argmin_metric`` relies on."""
+        cands = core.candidate_pairs(model.constellation_for_power(3.0, q_s))
+        np.testing.assert_array_equal(cands[::-1], -cands)
+
     def test_budget_is_one_block(self):
         """Half-size 90 gives 32400 pairs, within one block of 32768 values;
         91 would give 33124 and raises before building them."""
@@ -353,8 +359,9 @@ class TestArgminMetric:
         "block_values,n", [(7 * 256 + 3, 100), (16 * 256, 1000), (7, 5), (1 << 20, 10), (1 << 15, 1), (1 << 20, 5000)]
     )
     def test_reused_buffers(self, monkeypatch, block_values, n):
-        """Every block writes into the same buffers: a partial last block into
-        their leading rows, and rows > n into buffers of n rows."""
+        """Every block writes into the same (rows, C/2) buffers, the last one
+        passed as ``fold``: a partial last block into their leading rows, and
+        rows > n into buffers of n rows."""
         monkeypatch.setattr(core, "BLOCK_VALUES", block_values)
         rng = RNG(n)
         p = 100.0
@@ -364,7 +371,8 @@ class TestArgminMetric:
         y = rng.normal(scale=np.sqrt(p), size=(n, 2))
         ipow = p * np.sum(h[:, 2:] ** 2, axis=1)
         beta = rng.normal(size=n)
-        rows = max(1, min(n, core.BLOCK_ROWS, block_values // len(cands)))
+        half = len(cands) // 2
+        rows = max(1, min(n, core.BLOCK_ROWS, block_values // half))
         for metric, args in [
             (core.weight_matrix, ()),
             (core.ml_metric_matrix, (ipow, 1.0)),
@@ -372,9 +380,9 @@ class TestArgminMetric:
         ]:
             outs = []
 
-            def recording(*a, out):
-                outs.append(out)
-                res = metric(*a, out=out)
+            def recording(*a, out, fold):
+                outs.append([*out, fold])
+                res = metric(*a, out=out, fold=fold)
                 assert res is out[0]
                 return res
 
@@ -387,8 +395,83 @@ class TestArgminMetric:
             for out in outs:
                 assert len(out) == core.METRIC_BUFFERS
                 for buf, first in zip(out, outs[0]):
-                    assert buf.shape[1] == len(cands)
+                    assert buf.shape[1] == half
                     assert buf.__array_interface__["data"] == first.__array_interface__["data"]
+
+    def test_fold_scores_the_better_of_each_antipodal_pair(self):
+        """Given ``fold``, a kernel scores the back half with the smaller value
+        of cand and -cand, and the sign of the odd part it writes there names
+        the better one."""
+        rng = RNG(43)
+        p, n = 100.0, 200
+        cands = core.candidate_pairs(model.constellation_for_power(p, 8))
+        half = len(cands) // 2
+        h, _ = model.draw_channels(4, 4, n, rng)
+        h_pair = h[:, :2]
+        y = rng.normal(scale=np.sqrt(p), size=(n, 2))
+        ipow = p * np.sum(h[:, 2:] ** 2, axis=1)
+        for metric, args in [
+            (core.weight_matrix, ()),
+            (core.ml_metric_matrix, (ipow, 1.0)),
+            (core.known_beta_metric_matrix, (rng.normal(size=n),)),
+        ]:
+            full = metric(y, h_pair, cands, *args)
+            back, front = full[:, half:], full[:, half - 1 :: -1]
+            fold = np.empty((n, half))
+            folded = metric(y, h_pair, cands[half:], *args, fold=fold)
+            np.testing.assert_allclose(folded, np.minimum(back, front), rtol=1e-12, atol=1e-9)
+            np.testing.assert_allclose(folded, np.where(fold > 0, back, front), rtol=1e-12, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "cands",
+        [
+            np.array([[-1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [1.0, -1.0]]),
+            np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]]),
+            np.array([[-1.0, -2.0], [1.0, 1.0]]),
+        ],
+        ids=["shuffled", "odd-count", "not-negated"],
+    )
+    def test_non_antipodal_candidates_raise_before_scoring(self, cands):
+        calls = []
+
+        def recording(*a, **kw):
+            calls.append(a)
+            return core.weight_matrix(*a, **kw)
+
+        with pytest.raises(ValueError, match="antipodal"):
+            core.argmin_metric(recording, np.ones((3, 2)), np.ones((3, 2)), cands)
+        assert calls == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    q_s=st.sampled_from([1, 2, 8, 22]),
+    k=st.sampled_from([2, 3, 4]),
+    snr_db=st.floats(0.0, 60.0),
+)
+def test_pair_decode_is_the_unfolded_argmin(seed, q_s, k, snr_db):
+    """The folded decoder picks the row-wise argmin of the unfolded metric over
+    all C candidates, for the weight, known-beta and full-covariance rules."""
+    rng = RNG(seed)
+    p, sigma2, n = 10.0 ** (snr_db / 10.0), 1.0, 64
+    const = model.constellation_for_power(p, q_s)
+    cands = core.candidate_pairs(const)
+    h, _ = model.draw_channels(k, k, n, rng)
+    _, y = core.frame_observe(h, const.draw(rng, size=(n, k)))
+    y += rng.normal(0.0, np.sqrt(sigma2), size=y.shape)
+    for m in range(1, core.num_pairs(k) + 1):
+        y_m, h_pair = y[:, [0, m]], h[:, list(core.pair_members(k, m))]
+        ipow = p * core.out_of_pair_sum(h**2, m)
+        ml = (
+            core.known_beta_metric_matrix(y_m, h_pair, cands, 1.0)
+            if k == 2
+            else core.ml_metric_matrix(y_m, h_pair, cands, ipow, sigma2)
+        )
+        for decoder, full in [(core.WEIGHT, core.weight_matrix(y_m, h_pair, cands)), (core.ML, ml)]:
+            np.testing.assert_array_equal(
+                core.pair_decode(y_m, h, m, cands, decoder, p, sigma2), cands[np.argmin(full, axis=1)]
+            )
 
 
 class TestDecodePair:

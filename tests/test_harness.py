@@ -309,6 +309,16 @@ class TestRateSweep:
         assert 0.0 <= rows[0].ser <= 1.0
         assert rows[0].rate_bits_per_use >= 0.0
 
+    def test_fano_row_counts_both_symbols_of_each_pair(self):
+        """The Fano SER counts errors over both symbols of pair 1, so its row
+        reports that symbol count, and its standard error is taken over it."""
+        cfg = small_cfg(experiment="rate", trials=600, zeta_db_grid=[6.0])
+        row = next(r for r in harness.run_rate_sweep(cfg) if r.scheme == "fano_discrete")
+        assert row.trials == 2 * cfg.trials
+        errors = row.ser * row.trials
+        assert errors == pytest.approx(round(errors), abs=1e-9) and 0 < round(errors) < row.trials
+        assert row.ser_stderr == pytest.approx(np.sqrt(row.ser * (1.0 - row.ser) / (2 * cfg.trials)), rel=1e-12)
+
     def test_channel_draws_bounded_by_chunk(self, monkeypatch):
         """No channel draw is larger than one chunk, however many trials run."""
         monkeypatch.setattr(harness, "usable_cores", lambda: 1)
