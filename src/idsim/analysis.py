@@ -105,12 +105,18 @@ def dmin_batch(s_true: np.ndarray, interference: np.ndarray, h: np.ndarray, cand
     over the candidate pairs ``cands`` (``core.candidate_pairs``).
 
     ``interference`` (n,) is each pair's out-of-pair sum, which sets beta.
+    Rows are scored ``core.BLOCK_VALUES // C`` at a time, not as one (n, C) array.
     """
     h_pair = np.stack([h, h], axis=-1)
     _, y = core.dissolve(h_pair, s_true, interference)
-    w = core.weight_matrix(y, h_pair, cands)
-    is_true = (cands[None, :, 0] == s_true[:, 0:1]) & (cands[None, :, 1] == s_true[:, 1:2])
-    return np.min(np.where(is_true, np.inf, w), axis=1) ** 2
+    d2 = np.empty(len(y))
+    rows = max(1, core.BLOCK_VALUES // len(cands))
+    for lo in range(0, len(y), rows):
+        block = slice(lo, lo + rows)
+        w = core.weight_matrix(y[block], h_pair[block], cands)
+        w[(cands[:, 0] == s_true[block, 0:1]) & (cands[:, 1] == s_true[block, 1:2])] = np.inf
+        d2[block] = np.min(w, axis=1)
+    return d2**2
 
 
 def dmin_probe(const: PamConstellation, cands: np.ndarray, draws: int, rng: np.random.Generator, k: int = 4) -> DminReport:

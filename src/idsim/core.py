@@ -214,34 +214,6 @@ def ml_metric_matrix(
     return d_sq
 
 
-def known_beta_metric_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, beta, out=None, fold=None) -> np.ndarray:
-    """Squared distance ||y - v - beta * v_perp||^2 of every candidate pair.
-
-    With beta known to the receiver the observation is Gaussian around
-    v + beta v_perp, so this is the exact ML metric; without interferers
-    (K = 2) beta = 1 deterministically.
-
-    y: (..., 2), h_pair: (..., 2), beta: scalar or (...,). Expanding the
-    square with <v, v_perp> = 0 gives ||y||^2 - 2 X + (1 + beta^2) B, with
-    X = [(y0 - beta y1) h0, (beta y0 + y1) h1] @ cands^T and B = ||v||^2 as
-    in ``weight_matrix``. ``out``, if given, holds at least two (..., C)
-    float64 buffers; the result is written into the first. ``fold``, if
-    given, is one more: X is written into it and |X| scored in its place,
-    so each value is the smaller distance of cand and -cand (``argmin_metric``).
-    """
-    d2, energy = out[:2] if out is not None else (None, None)
-    beta = np.asarray(beta, dtype=float)
-    y0, y1 = y[..., 0], y[..., 1]
-    y_mix = np.stack([(y0 - beta * y1) * h_pair[..., 0], (beta * y0 + y1) * h_pair[..., 1]], axis=-1)
-    d2 = _odd_part(y_mix, cands, d2, fold)
-    d2 *= -2.0
-    energy = np.matmul(h_pair * h_pair, (cands * cands).T, out=energy)
-    energy *= (1.0 + beta * beta)[..., None]
-    d2 += energy
-    d2 += np.sum(y * y, axis=-1)[..., None]
-    return d2
-
-
 # Values per block in ``argmin_metric``: each of its METRIC_BUFFERS (rows, C/2)
 # float64 buffers holds at most 256 KiB, so all of them stay in a 2 MiB L2
 # cache while a block is scored. At most BLOCK_ROWS rows keep the metrics'
@@ -298,17 +270,33 @@ def argmin_metric(metric, y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, 
     return half + (idx ^ np.subtract(odd > 0, 1, dtype=np.intp))
 
 
+def _pam_alphabet(cands: np.ndarray) -> PamConstellation:
+    """The alphabet whose ``candidate_pairs`` are ``cands`` (half-size
+    sqrt(C) // 2, step ``cands[q_s, 1]``); other candidates raise ValueError."""
+    q_s = int(np.sqrt(len(cands))) // 2
+    if q_s >= 1 and cands[q_s, 1] > 0:
+        const = PamConstellation(float(cands[q_s, 1]), q_s)
+        if np.array_equal(cands, candidate_pairs(const)):
+            return const
+    raise ValueError("ml decoding at K = 2 needs the candidate pairs of one PAM alphabet (candidate_pairs)")
+
+
 def pair_decode(y, h, m, cands, decoder=WEIGHT, p=None, sigma2=None) -> np.ndarray:
     """Decisions (n, 2) on pair m of frames with gains h (n, K) from its
-    observations y (n, 2), by exhaustive search over ``cands`` (C, 2).
+    observations y (n, 2), over the candidate pairs ``cands`` (C, 2).
 
-    ``WEIGHT`` takes the weight argmin. ``ML`` takes the known-beta argmin
-    at K = 2, where beta = 1, and otherwise the full-covariance likelihood,
-    which models the interferers as zero-mean with per-symbol power ``p``
-    in noise of variance ``sigma2``. ``cands`` must be antipodal
-    (``argmin_metric``). A tie within an antipodal pair resolves to the
-    first candidate; an exact tie between two pairs goes to the pair whose
-    back-half member (first member positive) comes first.
+    ``WEIGHT`` takes the weight argmin. ``ML`` at K > 2 takes the argmin of
+    the full-covariance likelihood, which models the interferers as
+    zero-mean with per-symbol power ``p`` in noise of variance ``sigma2``.
+    Both need antipodal ``cands`` (``argmin_metric``). A tie within an
+    antipodal pair resolves to the first candidate; an exact tie between
+    two pairs goes to the pair whose back-half member comes first.
+
+    ``ML`` at K = 2 is exact ML with beta = 1: y = s_a (h_a, -h_a) +
+    s_b (h_b, h_b) + noise has orthogonal columns, so it splits into two
+    PAM slicers, ``nearest`` of (y0 - y1) / (2 h_a) and (y0 + y1) / (2 h_b)
+    over the alphabet of ``cands`` (``_pam_alphabet``). ``nearest`` resolves
+    a tie between two levels downward, unlike the argmin's rule above.
     """
     k = h.shape[-1]
     a, b = pair_members(k, m)
@@ -321,7 +309,8 @@ def pair_decode(y, h, m, cands, decoder=WEIGHT, p=None, sigma2=None) -> np.ndarr
     if p is None or sigma2 is None:
         raise ValueError("ml decoding needs p and sigma2")
     if k == 2:
-        return cands[argmin_metric(known_beta_metric_matrix, y, h_pair, cands, 1.0)]
+        u = np.stack([y[:, 0] - y[:, 1], y[:, 0] + y[:, 1]], axis=-1)
+        return _pam_alphabet(cands).nearest(u / (2 * h_pair))
     ipow = p * out_of_pair_sum(h**2, m)
     return cands[argmin_metric(ml_metric_matrix, y, h_pair, cands, ipow, sigma2)]
 

@@ -134,6 +134,10 @@ class SweepRow:
 
 
 def _rng(cfg: ExperimentConfig, *path: int) -> np.random.Generator:
+    """The stream keyed by the seed, the experiment and ``path``. numpy's
+    SeedSequence ignores trailing zeros, so ``_rng(cfg)``, ``_rng(cfg, 0)``
+    and ``_rng(cfg, 0, 0)`` are one stream, chunk (0, 0)'s in ``_run_chunks``:
+    keys used in one experiment must differ beyond trailing zeros."""
     return np.random.default_rng([cfg.seed, _EXP_ID[cfg.experiment], *path])
 
 

@@ -573,8 +573,7 @@ def test_criterion_11_error_bound():
             while done < trials:
                 n = min(100_000, trials - done)
                 y = y0[None, :] + rng.normal(0, 1, size=(n, 2))
-                w = core.weight_matrix(y, np.broadcast_to(np.array([h, h]), (n, 2)), cands)
-                hat = cands[np.argmin(w, axis=1)]
+                hat = core.pair_decode(y, np.broadcast_to(np.array([h, h]), (n, 2)), 1, cands)
                 errors += int(np.sum((hat[:, 0] != s[0]) | (hat[:, 1] != s[1])))
                 done += n
             pe = errors / trials

@@ -1,5 +1,7 @@
 """Tests for rates, capacity, error bounds, and the empirical probers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,32 @@ class TestDminExhaustive:
         h, s, interference, best = (np.array(col) for col in zip(*draws))
         got = analysis.dmin_batch(s, interference, h, core.candidate_pairs(const))
         np.testing.assert_allclose(got, best, rtol=1e-9, atol=1e-15)
+
+    def test_blocks_bound_the_allocation(self):
+        """At q_s = 64 (C = 16384) one (n, C) float64 array of 256 rows is
+        32 MiB. dmin_batch scores BLOCK_VALUES // C = 2 rows at a time, so
+        its peak allocation stays under 2 MiB, and its values are the direct
+        minimum over every candidate but the true pair."""
+        rng = np.random.default_rng(19)
+        const = model.constellation_for_power(1.0, 64)
+        cands = core.candidate_pairs(const)
+        n = 256
+        h = model._signed_rayleigh(rng, n)
+        s = const.draw(rng, size=(n, 2))
+        interference = rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            d2 = analysis.dmin_batch(s, interference, h, cands)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+        m = 9
+        _, y = core.dissolve(np.stack([h[:m], h[:m]], axis=-1), s[:m], interference[:m])
+        v = h[:m, None, None] * cands
+        w2 = np.sum((y[:, None, :] - v) * v, axis=-1) ** 2 / np.sum(v * v, axis=-1)
+        w2[np.all(cands == s[:m, None, :], axis=-1)] = np.inf
+        np.testing.assert_allclose(d2[:m], np.min(w2, axis=1), rtol=1e-9)
 
     def test_positive_on_continuous_channels(self):
         """Generic draws keep the minimum distance strictly positive."""

@@ -322,8 +322,6 @@ class TestMatrixProductKernels:
              (y_sq + v_sq) / np.sqrt(v_sq)),
             (core.ml_metric_matrix(y, h_pair, cands, ipow, 1.0), _direct_ml(y, h_pair, cands, ipow, 1.0),
              y_sq + v_sq),
-            (core.known_beta_metric_matrix(y, h_pair, cands, beta), _direct_known_beta(y, h_pair, cands, beta),
-             y_sq + (1.0 + beta[:, None] ** 2) * v_sq),
         ]
         for fast, direct, scale in cases:
             assert fast.shape == direct.shape == (n, cands.shape[0])
@@ -343,12 +341,9 @@ class TestArgminMetric:
         h_pair = h[:, :2]
         y = rng.normal(scale=np.sqrt(p), size=(n, 2))
         ipow = p * np.sum(h[:, 2:] ** 2, axis=1)
-        beta = rng.normal(size=n)
         for metric, args in [
             (core.weight_matrix, ()),
             (core.ml_metric_matrix, (ipow, 1.0)),
-            (core.known_beta_metric_matrix, (beta,)),
-            (core.known_beta_metric_matrix, (1.0,)),
         ]:
             np.testing.assert_array_equal(
                 core.argmin_metric(metric, y, h_pair, cands, *args),
@@ -370,13 +365,11 @@ class TestArgminMetric:
         h_pair = h[:, :2]
         y = rng.normal(scale=np.sqrt(p), size=(n, 2))
         ipow = p * np.sum(h[:, 2:] ** 2, axis=1)
-        beta = rng.normal(size=n)
         half = len(cands) // 2
         rows = max(1, min(n, core.BLOCK_ROWS, block_values // half))
         for metric, args in [
             (core.weight_matrix, ()),
             (core.ml_metric_matrix, (ipow, 1.0)),
-            (core.known_beta_metric_matrix, (beta,)),
         ]:
             outs = []
 
@@ -413,7 +406,6 @@ class TestArgminMetric:
         for metric, args in [
             (core.weight_matrix, ()),
             (core.ml_metric_matrix, (ipow, 1.0)),
-            (core.known_beta_metric_matrix, (rng.normal(size=n),)),
         ]:
             full = metric(y, h_pair, cands, *args)
             back, front = full[:, half:], full[:, half - 1 :: -1]
@@ -452,7 +444,8 @@ class TestArgminMetric:
 )
 def test_pair_decode_is_the_unfolded_argmin(seed, q_s, k, snr_db):
     """The folded decoder picks the row-wise argmin of the unfolded metric over
-    all C candidates, for the weight, known-beta and full-covariance rules."""
+    all C candidates, for the weight and full-covariance rules; at K = 2 the
+    ml decisions are the argmin of the direct known-beta metric."""
     rng = RNG(seed)
     p, sigma2, n = 10.0 ** (snr_db / 10.0), 1.0, 64
     const = model.constellation_for_power(p, q_s)
@@ -464,7 +457,7 @@ def test_pair_decode_is_the_unfolded_argmin(seed, q_s, k, snr_db):
         y_m, h_pair = y[:, [0, m]], h[:, list(core.pair_members(k, m))]
         ipow = p * core.out_of_pair_sum(h**2, m)
         ml = (
-            core.known_beta_metric_matrix(y_m, h_pair, cands, 1.0)
+            _direct_known_beta(y_m, h_pair, cands, 1.0)
             if k == 2
             else core.ml_metric_matrix(y_m, h_pair, cands, ipow, sigma2)
         )
@@ -472,6 +465,32 @@ def test_pair_decode_is_the_unfolded_argmin(seed, q_s, k, snr_db):
             np.testing.assert_array_equal(
                 core.pair_decode(y_m, h, m, cands, decoder, p, sigma2), cands[np.argmin(full, axis=1)]
             )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    q_s=st.sampled_from([1, 2, 8, 22, 90]),
+    snr_db=st.floats(0.0, 60.0),
+)
+def test_k2_ml_slicers_are_the_known_beta_argmin(seed, q_s, snr_db):
+    """At K = 2 the ml decoder's two PAM slicers pick the row-wise argmin of
+    the known-beta metric ||y - v - v_perp||^2 over all C candidates, on every
+    row whose best two candidates are apart by more than rounding."""
+    rng = RNG(seed)
+    p, n = 10.0 ** (snr_db / 10.0), 32
+    const = model.constellation_for_power(p, q_s)
+    cands = core.candidate_pairs(const)
+    h, _ = model.draw_channels(2, 2, n, rng)
+    _, y = core.frame_observe(h, const.draw(rng, size=(n, 2)))
+    y += rng.normal(size=y.shape)
+    d2 = _direct_known_beta(y, h, cands, 1.0)
+    best, second = np.partition(d2, 1, axis=1)[:, :2].T
+    scale = np.sum(y * y, axis=1) + 2.0 * np.max(np.sum((h[:, None, :] * cands) ** 2, axis=-1), axis=1)
+    clear = second - best > 1e-9 * scale
+    assert np.mean(clear) > 0.9
+    hat = core.pair_decode(y, h, 1, cands, core.ML, p, 1.0)
+    np.testing.assert_array_equal(hat[clear], cands[np.argmin(d2[clear], axis=1)])
 
 
 class TestDecodePair:
@@ -533,7 +552,7 @@ class TestMlDecodePair:
     def test_k2_reduces_to_nearest_neighbor_on_v(self):
         """Without interferers eta^2 = 0 and C = s2 I, so the metric is
         ||y - v(cand)||^2; the deterministic-dissolution optimum is the
-        known-beta metric instead, which pair_decode uses at K = 2."""
+        known-beta metric instead, which pair_decode's two slicers minimize at K = 2."""
         p, sigma2 = 1.0, 0.5
         const, h, s = random_frames(37, 2, 1, p=p)
         cands = core.candidate_pairs(const)
@@ -591,6 +610,25 @@ class TestMlDecodePair:
         best = cands[np.argmin(np.sum((y[:, None, :] - z) ** 2, axis=-1), axis=1)]
         np.testing.assert_array_equal(hat, best)
         assert 0 < np.mean(np.any(hat != s, axis=1)) < 1
+
+    @pytest.mark.parametrize(
+        "cands",
+        [
+            np.array([[a, b] for a in (-3.0, -1.0, 1.0, 3.0) for b in (-3.0, -1.0, 1.0, 3.0)]),
+            np.array([[-1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [1.0, -1.0]]),
+            -core.candidate_pairs(model.PamConstellation(1.0, 2)),
+            np.empty((0, 2)),
+        ],
+        ids=["not-pam", "shuffled", "negated", "empty"],
+    )
+    def test_k2_non_product_candidates_raise_before_decoding(self, monkeypatch, cands):
+        """The K = 2 slicers read the alphabet off the layout of
+        ``candidate_pairs``; any other candidate set is refused unsliced."""
+        calls = []
+        monkeypatch.setattr(model.PamConstellation, "nearest", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="candidate pairs of one PAM alphabet"):
+            core.pair_decode(np.ones((3, 2)), np.ones((3, 2)), 1, cands, core.ML, 1.0, 1.0)
+        assert calls == []
 
     def test_known_beta_noiseless_exact(self):
         const, h, s = random_frames(53, 2, 50)
