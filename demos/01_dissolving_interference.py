@@ -52,11 +52,11 @@ for idx in order[:5]:
     tag = "  <-- true pair" if tuple(cands[idx]) == (s[0], s[1]) else ""
     print(f"  cand ({cands[idx][0]:+.3f}, {cands[idx][1]:+.3f})  w = {weights[idx]:.4f}{tag}")
 
-pick = core.pair_decode(y_pair, h[None], 1, cands)[0]
+pick = core.pair_decode(y_pair, h[None], 1, const)[0]
 print("weight decoder picks:", tuple(np.round(pick, 3)))
 
 # Full frame, noiseless: every symbol comes back exactly.
-s_hat = core.frame_decode(y, h[None], cands)[0]
+s_hat = core.frame_decode(y, h[None], const)[0]
 print("\nnoiseless full frame:", np.round(s_hat, 3))
 print("exact recovery:", bool(np.all(s_hat == s)))
 print(f"channel uses: {core.channel_uses(K)} for {K} symbols "

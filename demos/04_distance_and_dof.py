@@ -13,7 +13,7 @@ log2(P) per symbol: half of the AWGN slope, i.e. 1/2 DoF.
 
 import numpy as np
 
-from idsim import analysis, core, model
+from idsim import analysis, model
 
 rng = np.random.default_rng(3)
 
@@ -21,7 +21,7 @@ print("scaled min weight^2 over 2000 draws per alphabet size (K=4):")
 print(f"{'q_s':>4s} {'min':>10s} {'1%':>10s} {'median':>10s}")
 for q_s in (2, 4, 8, 16):
     const = model.constellation_for_power(1.0, q_s)
-    rep = analysis.dmin_probe(const, core.candidate_pairs(const), 2000, rng, k=4)
+    rep = analysis.dmin_probe(const, 2000, rng, k=4)
     p1 = np.percentile(rep.dmin2_scaled, 1.0)
     print(f"{q_s:4d} {rep.floor:10.2e} {p1:10.2e} {rep.median:10.3f}")
 print("(the floor is an extreme statistic and jumps around; the body of the")

@@ -9,7 +9,7 @@ s3 from the alpha-scaled residual. Throughput: 1.5 symbols per use.
 
 import numpy as np
 
-from idsim import core, harness, model, multicast
+from idsim import harness, model, multicast
 
 rng = np.random.default_rng(11)
 
@@ -24,11 +24,10 @@ print(f"sent: x1 = {x[0]:+.4f} (= s1 + beta*s2), x2 = {x[1]:+.4f}, beta = {beta:
 
 gains = model._signed_rayleigh(rng, 3)
 sigma2 = 1.0
-cands = core.candidate_pairs(const)
 for user, h_i in enumerate(gains, start=1):
     # One user's observation of one frame is a batch of n = 1.
     y = multicast.multicast_observe(x[None], h_i[None], sigma2, rng)
-    got = multicast.multicast_decode(y, h_i[None], cands, const)[0]
+    got = multicast.multicast_decode(y, h_i[None], const, const)[0]
     line = f"user {user} (h={h_i:+.3f}): pair -> ({got[0]:+.3f}, {got[1]:+.3f})"
     if user == 3:
         line += f", s3 -> {got[2]:+.3f}"

@@ -100,15 +100,16 @@ class DminReport:
         return float(np.median(self.dmin2_scaled))
 
 
-def dmin_batch(s_true: np.ndarray, interference: np.ndarray, h: np.ndarray, cands: np.ndarray) -> np.ndarray:
+def dmin_batch(s_true: np.ndarray, interference: np.ndarray, h: np.ndarray, const: PamConstellation) -> np.ndarray:
     """Squared minimum weights of (n, 2) true pairs on common gains h (n,)
-    over the candidate pairs ``cands`` (``core.candidate_pairs``).
+    over the candidate pairs of the alphabet ``const``.
 
     ``interference`` (n,) is each pair's out-of-pair sum, which sets beta.
     Rows are scored ``core.BLOCK_VALUES // C`` at a time, not as one (n, C) array.
     """
     h_pair = np.stack([h, h], axis=-1)
     _, y = core.dissolve(h_pair, s_true, interference)
+    cands = core.candidate_pairs(const)
     d2 = np.empty(len(y))
     rows = max(1, core.BLOCK_VALUES // len(cands))
     for lo in range(0, len(y), rows):
@@ -119,9 +120,9 @@ def dmin_batch(s_true: np.ndarray, interference: np.ndarray, h: np.ndarray, cand
     return d2**2
 
 
-def dmin_probe(const: PamConstellation, cands: np.ndarray, draws: int, rng: np.random.Generator, k: int = 4) -> DminReport:
+def dmin_probe(const: PamConstellation, draws: int, rng: np.random.Generator, k: int = 4) -> DminReport:
     """Sample the scaled minimum distance of ``const``'s candidate pairs
-    ``cands`` over random channels and symbols.
+    over random channels and symbols.
 
     The intended pair rides a common gain; interferers keep independent
     gains so the dissolution factor stays generic, which needs K >= 3.
@@ -135,7 +136,7 @@ def dmin_probe(const: PamConstellation, cands: np.ndarray, draws: int, rng: np.r
         h = _signed_rayleigh(rng, n)
         g_int = _signed_rayleigh(rng, (n, k - 2))
         s = const.draw(rng, size=(n, k))
-        d2 = dmin_batch(s[:, :2], np.sum(g_int * s[:, 2:], axis=1), h, cands)
+        d2 = dmin_batch(s[:, :2], np.sum(g_int * s[:, 2:], axis=1), h, const)
         scaled.append(d2 * const.q_s**2 / (h**2 * const.a_s**2))
     return DminReport(q_s=const.q_s, samples=draws, dmin2_scaled=np.concatenate(scaled))
 
@@ -170,19 +171,20 @@ def dof_slope(p_grid, epsilon: float, trials: int, rng: np.random.Generator, k: 
     realization); the pair-error probability is pooled over symbol and
     unit-variance noise draws. Every power must exceed 1 (0 dB), where
     (1/2) log2 P, the divisor of ``DofPoint.ratio``, is positive. Every
-    point's candidates are built before the first draw, so an alphabet too
+    point's half-size is checked before the first draw, so an alphabet too
     large to enumerate fails before any point runs.
     """
     p_grid = np.asarray(p_grid, dtype=float)
     if not np.all(p_grid > 1.0):
         raise ValueError("dof needs every power above 0 dB: (1/2) log2 P must be positive")
     consts = [constellation_for_power(p, constellation_size_for_power(p, epsilon)) for p in p_grid]
-    cands = [core.candidate_pairs(const) for const in consts]
+    for const in consts:
+        core.check_half_size(const.q_s)
     h_common = float(_signed_rayleigh(rng, ()))
     g_int = _signed_rayleigh(rng, k - 2)
     out = []
-    for p, const, pt_cands in zip(p_grid, consts, cands):
-        pe = _pair_error_rate(const, pt_cands, h_common, g_int, trials, rng)
+    for p, const in zip(p_grid, consts):
+        pe = _pair_error_rate(const, h_common, g_int, trials, rng)
         out.append(DofPoint(p=float(p), q_s=const.q_s, pe=pe, fano_bound=fano_rate_lower_bound(pe, const.q_s)))
     return out
 
@@ -202,18 +204,17 @@ def dof_growth_slope(points: list[DofPoint]) -> float:
 
 
 def _pair_error_rate(
-    const: PamConstellation, cands: np.ndarray, h_common: float, g_int: np.ndarray, trials: int, rng: np.random.Generator
+    const: PamConstellation, h_common: float, g_int: np.ndarray, trials: int, rng: np.random.Generator
 ) -> float:
-    """Monte Carlo pair-error rate of the weight decoder over ``const``'s
-    candidates ``cands``, fixed channel, unit noise variance; frames are
-    drawn DOF_CHUNK at a time."""
+    """Monte Carlo pair-error rate of the weight decoder over ``const``, fixed
+    channel, unit noise variance; frames are drawn DOF_CHUNK at a time."""
     h_pair = np.array([h_common, h_common])
     errors = 0
     for n in core.chunk_sizes(trials, DOF_CHUNK):
         s = const.draw(rng, size=(n, 2 + g_int.shape[0]))
         _, y = core.dissolve(h_pair, s[:, :2], s[:, 2:] @ g_int)
         y += rng.normal(0.0, 1.0, size=(n, 2))
-        hat = core.pair_decode(y, np.broadcast_to(h_pair, (n, 2)), 1, cands)
+        hat = core.pair_decode(y, np.broadcast_to(h_pair, (n, 2)), 1, const)
         errors += int(np.sum((hat[:, 0] != s[:, 0]) | (hat[:, 1] != s[:, 1])))
     return errors / trials
 

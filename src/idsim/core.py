@@ -102,14 +102,17 @@ def frame_observe(h: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def candidate_pairs(const: PamConstellation) -> np.ndarray:
-    """All (2 q_s)^2 candidate pairs, first member major, alphabet ascending.
+    """All (2 q_s)^2 candidate pairs, first member major, alphabet ascending,
+    so the set is antipodal: ``cands[C-1-i] == -cands[i]`` (``argmin_metric``).
 
     A half-size above MAX_HALF_SIZE raises ValueError (``check_half_size``).
     """
     check_half_size(const.q_s)
     pts = const.points
-    sa, sb = np.meshgrid(pts, pts, indexing="ij")
-    return np.column_stack([sa.ravel(), sb.ravel()])
+    cands = np.empty((len(pts), len(pts), 2))
+    cands[..., 0] = pts[:, None]
+    cands[..., 1] = pts
+    return cands.reshape(-1, 2)
 
 
 def check_half_size(q_s: int) -> None:
@@ -231,11 +234,11 @@ MAX_HALF_SIZE = int(np.sqrt(BLOCK_VALUES)) // 2
 def argmin_metric(metric, y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, *args) -> np.ndarray:
     """Per-row index into ``cands`` of the smallest ``metric(y, h_pair, cands, *args)``.
 
-    ``cands`` (C, 2) must be antipodal, ``cands[C-1-i] == -cands[i]``, as
-    ``candidate_pairs`` is, or ValueError is raised before anything is
-    scored. Every metric is an even part minus an odd part odd = r @ cand,
-    so only the back half ``cands[C//2:]`` is scored: the metric writes odd
-    into its ``fold`` buffer and scores |odd|, the better of cand and -cand.
+    ``cands`` (C, 2) are ``candidate_pairs``, which are antipodal,
+    ``cands[C-1-i] == -cands[i]``. Every metric is an even part minus an
+    odd part odd = r @ cand, so only the back half ``cands[C//2:]`` is
+    scored: the metric writes odd into its ``fold`` buffer and scores |odd|,
+    the better of cand and -cand.
     The argmin j over the half names C//2 + j where odd > 0, else its
     antipode C//2 - 1 - j, the earlier one of a tied pair.
 
@@ -248,10 +251,7 @@ def argmin_metric(metric, y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, 
     are allocated once and passed as ``out`` and, the last, ``fold``, so
     scoring a block allocates no (rows, C/2) array.
     """
-    n, c = len(y), len(cands)
-    if c % 2 or not np.array_equal(cands[::-1], -cands):
-        raise ValueError("candidate pairs must be antipodal: cands[C-1-i] == -cands[i]")
-    half = c // 2
+    n, half = len(y), len(cands) // 2
     back = cands[half:]
     rows = max(1, min(n, BLOCK_ROWS, BLOCK_VALUES // half))
     *bufs, odd_buf = [np.empty((rows, half)) for _ in range(METRIC_BUFFERS)]
@@ -270,59 +270,49 @@ def argmin_metric(metric, y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, 
     return half + (idx ^ np.subtract(odd > 0, 1, dtype=np.intp))
 
 
-def _pam_alphabet(cands: np.ndarray) -> PamConstellation:
-    """The alphabet whose ``candidate_pairs`` are ``cands`` (half-size
-    sqrt(C) // 2, step ``cands[q_s, 1]``); other candidates raise ValueError."""
-    q_s = int(np.sqrt(len(cands))) // 2
-    if q_s >= 1 and cands[q_s, 1] > 0:
-        const = PamConstellation(float(cands[q_s, 1]), q_s)
-        if np.array_equal(cands, candidate_pairs(const)):
-            return const
-    raise ValueError("ml decoding at K = 2 needs the candidate pairs of one PAM alphabet (candidate_pairs)")
-
-
-def pair_decode(y, h, m, cands, decoder=WEIGHT, p=None, sigma2=None) -> np.ndarray:
+def pair_decode(y, h, m, const, decoder=WEIGHT, p=None, sigma2=None) -> np.ndarray:
     """Decisions (n, 2) on pair m of frames with gains h (n, K) from its
-    observations y (n, 2), over the candidate pairs ``cands`` (C, 2).
+    observations y (n, 2), both symbols from the alphabet ``const``.
 
-    ``WEIGHT`` takes the weight argmin. ``ML`` at K > 2 takes the argmin of
-    the full-covariance likelihood, which models the interferers as
-    zero-mean with per-symbol power ``p`` in noise of variance ``sigma2``.
-    Both need antipodal ``cands`` (``argmin_metric``). A tie within an
-    antipodal pair resolves to the first candidate; an exact tie between
-    two pairs goes to the pair whose back-half member comes first.
+    ``WEIGHT`` takes the weight argmin over ``candidate_pairs(const)``.
+    ``ML`` at K > 2 takes the argmin of the full-covariance likelihood,
+    which models the interferers as zero-mean with per-symbol power ``p``
+    in noise of variance ``sigma2``. A tie within an antipodal pair
+    resolves to the first candidate; an exact tie between two pairs goes to
+    the pair whose back-half member comes first (``argmin_metric``).
 
     ``ML`` at K = 2 is exact ML with beta = 1: y = s_a (h_a, -h_a) +
     s_b (h_b, h_b) + noise has orthogonal columns, so it splits into two
-    PAM slicers, ``nearest`` of (y0 - y1) / (2 h_a) and (y0 + y1) / (2 h_b)
-    over the alphabet of ``cands`` (``_pam_alphabet``). ``nearest`` resolves
-    a tie between two levels downward, unlike the argmin's rule above.
+    PAM slicers, ``const.nearest`` of (y0 - y1) / (2 h_a) and
+    (y0 + y1) / (2 h_b). ``nearest`` resolves a tie between two levels
+    downward, unlike the argmin's rule above.
     """
     k = h.shape[-1]
     a, b = pair_members(k, m)
     # A view for the pairs of adjacent symbols; only odd K's last pair copies.
     h_pair = h[:, a : b + 1] if b == a + 1 else h[:, [a, b]]
-    if decoder == WEIGHT:
-        return cands[argmin_metric(weight_matrix, y, h_pair, cands)]
-    if decoder != ML:
+    metric, args = weight_matrix, ()
+    if decoder == ML:
+        if p is None or sigma2 is None:
+            raise ValueError("ml decoding needs p and sigma2")
+        if k == 2:
+            u = np.stack([y[:, 0] - y[:, 1], y[:, 0] + y[:, 1]], axis=-1)
+            return const.nearest(u / (2 * h_pair))
+        metric, args = ml_metric_matrix, (p * out_of_pair_sum(h**2, m), sigma2)
+    elif decoder != WEIGHT:
         raise ValueError(f"unknown decoder {decoder!r}")
-    if p is None or sigma2 is None:
-        raise ValueError("ml decoding needs p and sigma2")
-    if k == 2:
-        u = np.stack([y[:, 0] - y[:, 1], y[:, 0] + y[:, 1]], axis=-1)
-        return _pam_alphabet(cands).nearest(u / (2 * h_pair))
-    ipow = p * out_of_pair_sum(h**2, m)
-    return cands[argmin_metric(ml_metric_matrix, y, h_pair, cands, ipow, sigma2)]
+    cands = candidate_pairs(const)
+    return cands[argmin_metric(metric, y, h_pair, cands, *args)]
 
 
-def frame_decode(y, h, cands, decoder=WEIGHT, p=None, sigma2=None) -> np.ndarray:
+def frame_decode(y, h, const, decoder=WEIGHT, p=None, sigma2=None) -> np.ndarray:
     """The K symbols (n, K) of frames observed as ``frame_observe``'s y (n, 1 + M).
 
-    Each pair is decoded by ``pair_decode`` from the shared first use and
-    its own second use. For odd K the last pair repeats s_1, and pair 1's
-    decision of s_1 is kept.
+    Each pair is decoded by ``pair_decode`` over the alphabet ``const`` from
+    the shared first use and its own second use. For odd K the last pair
+    repeats s_1, and pair 1's decision of s_1 is kept.
     """
     s_hat = np.empty(h.shape)
     for m in range(num_pairs(h.shape[-1]), 0, -1):
-        s_hat[:, list(pair_members(h.shape[-1], m))] = pair_decode(y[:, [0, m]], h, m, cands, decoder, p, sigma2)
+        s_hat[:, list(pair_members(h.shape[-1], m))] = pair_decode(y[:, [0, m]], h, m, const, decoder, p, sigma2)
     return s_hat

@@ -8,8 +8,8 @@ forked process per usable core (the CPU affinity, so ``taskset`` limits
 them) and add the partial results up in chunk order, and the CSV is
 byte-identical for every number of processes. ``dmin`` and
 ``dof`` draw from one sequential stream and run in this process. Every
-sweep builds all its grid points (power, alphabet, candidate pairs) before
-its first draw or fork, so a grid that cannot run fails before any work.
+sweep builds all its grid points (power, alphabet) before its first draw
+or fork, so a grid that cannot run fails before any work.
 Noise variance is fixed at one; the SNR axis is zeta = P / sigma2, so the
 per-symbol power at a grid point is the linear zeta.
 """
@@ -76,7 +76,6 @@ class ExperimentConfig:
     seed: int = DEFAULT_SEED
     decoder: str = core.WEIGHT
     epsilon: float = 0.1
-    sigma2: float = 1.0
 
     def __post_init__(self) -> None:
         if self.experiment not in _EXPERIMENTS:
@@ -89,8 +88,6 @@ class ExperimentConfig:
             raise ValueError("half-size must be at least 1")
         if self.decoder not in (core.WEIGHT, core.ML):
             raise ValueError(f"unknown decoder {self.decoder!r}")
-        if self.sigma2 < 0:
-            raise ValueError("noise variance must be non-negative")
         self.zeta_db_grid = np.atleast_1d(np.asarray(self.zeta_db_grid, dtype=float))
         if self.zeta_db_grid.size == 0:
             raise ValueError("SNR grid must be nonempty")
@@ -101,9 +98,8 @@ class ExperimentConfig:
             raise ValueError(f"SNR grid values must lie in [{lo:g}, {hi:g}] dB")
 
     def power_at(self, zeta_db: float) -> float:
-        """Per-symbol power for a grid point; sigma2 = 0 uses a unit reference."""
-        ref = self.sigma2 if self.sigma2 > 0 else 1.0
-        return 10.0 ** (zeta_db / 10.0) * ref
+        """Per-symbol power for a grid point: the linear zeta, at unit noise variance."""
+        return 10.0 ** (zeta_db / 10.0)
 
 
 @dataclass
@@ -141,13 +137,11 @@ def _rng(cfg: ExperimentConfig, *path: int) -> np.random.Generator:
     return np.random.default_rng([cfg.seed, _EXP_ID[cfg.experiment], *path])
 
 
-def _alphabet(p: float, q_s: int):
-    """The half-size ``q_s`` alphabet scaled to power ``p`` and its candidate
-    pairs. The half-size is checked first: one too large for a float would
-    overflow the scaling."""
+def _alphabet(p: float, q_s: int) -> model.PamConstellation:
+    """The half-size ``q_s`` alphabet scaled to power ``p``. The half-size is
+    checked first: one too large for a float would overflow the scaling."""
     core.check_half_size(q_s)
-    const = model.constellation_for_power(p, q_s)
-    return const, core.candidate_pairs(const)
+    return model.constellation_for_power(p, q_s)
 
 
 def _run_chunks(cfg: ExperimentConfig, chunk, points: list) -> list[tuple]:
@@ -280,14 +274,14 @@ def _id_frame_batch(cfg, const, n, rng):
     h, g = model.draw_channels(cfg.k, N_ANTENNAS, n, rng)
     s = const.draw(rng, size=(n, cfg.k))
     beta, y = core.dissolve(h[:, :2], s[:, :2], core.out_of_pair_sum(h * s, 1))
-    y[:, 0] += rng.normal(0.0, np.sqrt(cfg.sigma2), n)
-    y[:, 1] += rng.normal(0.0, np.sqrt(cfg.sigma2), n)
+    y[:, 0] += rng.normal(0.0, 1.0, n)
+    y[:, 1] += rng.normal(0.0, 1.0, n)
     return h, g, s, beta, y
 
 
-def _id_decode_batch(cfg, cands, h, y, p):
+def _id_decode_batch(cfg, const, h, y, p):
     """Decode pair 1 for a chunk; returns decoded pairs (n, 2)."""
-    return core.pair_decode(y, h, 1, cands, cfg.decoder, p, cfg.sigma2)
+    return core.pair_decode(y, h, 1, const, cfg.decoder, p, 1.0)
 
 
 def _pair_errors(hat: np.ndarray, s: np.ndarray) -> int:
@@ -300,17 +294,17 @@ def _ser_chunk(cfg, point, rng, n):
 
     ``power2`` is this chunk's sum of second-use powers.
     """
-    p, const, cands, const2p = point
+    p, const, const2p = point
     h, g, s, beta, y = _id_frame_batch(cfg, const, n, rng)
-    id_err = _pair_errors(_id_decode_batch(cfg, cands, h, y, p), s)
+    id_err = _pair_errors(_id_decode_batch(cfg, const, h, y, p), s)
     power2 = float(np.sum(core.second_use_power(beta, s)))
 
     sm = const2p.draw(rng, size=n)
     gn = baselines.mrc_effective_gain(g)
-    ym = gn * sm + rng.normal(0.0, np.sqrt(cfg.sigma2), n)
+    ym = gn * sm + rng.normal(0.0, 1.0, n)
     mrc_err = int(np.sum(baselines.mrc_decode_batch(ym, gn, const2p) != sm))
 
-    ysu = h[:, 0] * s[:, 0] + h[:, 1] * s[:, 1] + rng.normal(0.0, np.sqrt(cfg.sigma2), n)
+    ysu = h[:, 0] * s[:, 0] + h[:, 1] * s[:, 1] + rng.normal(0.0, 1.0, n)
     succ_err = _pair_errors(baselines._successive_decode_batch(ysu, h[:, 0], h[:, 1], const), s)
     return id_err, mrc_err, succ_err, power2
 
@@ -320,7 +314,7 @@ def run_ser_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     points = []
     for zdb in cfg.zeta_db_grid:
         p = cfg.power_at(zdb)
-        points.append((p, *_alphabet(p, cfg.q_s), model.constellation_for_power(2.0 * p, cfg.q_s)))
+        points.append((p, _alphabet(p, cfg.q_s), model.constellation_for_power(2.0 * p, cfg.q_s)))
     sums = _run_chunks(cfg, _ser_chunk, points)
 
     rows: list[SweepRow] = []
@@ -348,11 +342,11 @@ def _rate_chunk(cfg, point, rng, n):
     """One chunk of the rate sweep over its ``n`` frames: the sums of the MISO
     capacity and of the ID Gaussian rate over the frames' channels, and the
     ID decoder's pair-1 symbol errors."""
-    p, const, cands = point
+    p, const = point
     h, g, s, _, y = _id_frame_batch(cfg, const, n, rng)
-    c_sum = float(np.sum(analysis.capacity_miso(g, 2.0 * p, cfg.sigma2)))
-    r_sum = float(np.sum(analysis.rate_total(h, p, cfg.sigma2)))
-    return c_sum, r_sum, _pair_errors(_id_decode_batch(cfg, cands, h, y, p), s)
+    c_sum = float(np.sum(analysis.capacity_miso(g, 2.0 * p, 1.0)))
+    r_sum = float(np.sum(analysis.rate_total(h, p, 1.0)))
+    return c_sum, r_sum, _pair_errors(_id_decode_batch(cfg, const, h, y, p), s)
 
 
 def run_rate_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
@@ -366,7 +360,7 @@ def run_rate_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     points = []
     for zdb in cfg.zeta_db_grid:
         p = cfg.power_at(zdb)
-        points.append((p, *_alphabet(p, cfg.q_s)))
+        points.append((p, _alphabet(p, cfg.q_s)))
     sums = _run_chunks(cfg, _rate_chunk, points)
 
     rows: list[SweepRow] = []
@@ -398,8 +392,8 @@ def run_dmin_probe(cfg: ExperimentConfig) -> list[SweepRow]:
         points.append(_alphabet(1.0, q))
         q *= 2
     rows: list[SweepRow] = []
-    for qi, (const, cands) in enumerate(points):
-        rep = analysis.dmin_probe(const, cands, cfg.trials, _rng(cfg, qi), k=cfg.k)
+    for qi, const in enumerate(points):
+        rep = analysis.dmin_probe(const, cfg.trials, _rng(cfg, qi), k=cfg.k)
         rows.append(
             SweepRow(cfg.experiment, f"qs={const.q_s}", None, cfg.trials,
                      bound_value=rep.floor, normalized_rate=rep.median)
@@ -423,16 +417,15 @@ def run_dof_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     return rows
 
 
-def _multicast_chunk(cfg, point, rng, n):
+def _multicast_chunk(cfg, const, rng, n):
     """One chunk of the multicast sweep: each user's errors on its own symbol."""
-    const, cands = point
     gains = model._signed_rayleigh(rng, (n, 3))
     s = const.draw(rng, size=(n, 3))
     _, x = multicast.multicast_precode(s)
     errors = []
     for u in range(3):
-        y = multicast.multicast_observe(x, gains[:, u], cfg.sigma2, rng)
-        s_hat = multicast.multicast_decode(y, gains[:, u], cands, const)
+        y = multicast.multicast_observe(x, gains[:, u], 1.0, rng)
+        s_hat = multicast.multicast_decode(y, gains[:, u], const, const)
         errors.append(int(np.sum(s_hat[:, u] != s[:, u])))
     return errors
 

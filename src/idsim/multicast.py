@@ -50,14 +50,15 @@ def multicast_observe(
     return y
 
 
-def multicast_decode(y: np.ndarray, h: np.ndarray, cands: np.ndarray, s3_const: PamConstellation) -> np.ndarray:
+def multicast_decode(
+    y: np.ndarray, h: np.ndarray, pair_const: PamConstellation, s3_const: PamConstellation
+) -> np.ndarray:
     """Estimates (n, 3) of (s1, s2, s3) from observations y (n, 2) on gains h (n,).
 
-    The pair is decoded with the weight rule over the candidate pairs
-    ``cands`` (``core.candidate_pairs``); s3 is read from the first-use
-    residual over ``s3_const``.
+    The pair is decoded with the weight rule over the alphabet
+    ``pair_const``; s3 is read from the first-use residual over ``s3_const``.
     """
-    pair = core.pair_decode(y, np.stack([h, h], axis=-1), 1, cands)
+    pair = core.pair_decode(y, np.stack([h, h], axis=-1), 1, pair_const)
     s3 = multicast_decode_s3(y[:, 0], h, pair[:, 0], pair[:, 1], s3_const)
     return np.column_stack([pair, s3])
 
@@ -85,14 +86,13 @@ def s3_rate_slope(p_grid, epsilon: float, trials: int, rng: np.random.Generator)
     for p in np.asarray(p_grid, dtype=float):
         q3 = max(1, int(round(p ** ((1.0 - epsilon) / 2.0))))
         pair_const = constellation_for_power(p, 2)
-        pair_cands = core.candidate_pairs(pair_const)
         s3_const = constellation_for_power(p, q3)
         errors = 0
         for n in core.chunk_sizes(trials, S3_CHUNK):
             s = np.column_stack([pair_const.draw(rng, size=(n, 2)), s3_const.draw(rng, size=n)])
             h = np.ones(n)
             y = multicast_observe(multicast_precode(s)[1], h, 1.0, rng)
-            s3_hat = multicast_decode(y, h, pair_cands, s3_const)[:, 2]
+            s3_hat = multicast_decode(y, h, pair_const, s3_const)[:, 2]
             errors += int(np.sum(s3_hat != s[:, 2]))
         pe = errors / trials
         bound = fano_rate_lower_bound(pe, q3)

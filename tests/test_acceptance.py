@@ -506,13 +506,12 @@ def test_criterion_10a_multicast_noiseless_exact():
     bad = 0
     for q_s in (1, 2, 3, 4):
         const = model.constellation_for_power(1.0, q_s)
-        cands = core.candidate_pairs(const)
         gains = model._signed_rayleigh(rng, 3)
         s = np.array(list(itertools.product(const.points, repeat=3)))
         _, x = multicast.multicast_precode(s)
         for u, h_i in enumerate(gains):
             h = np.full(len(s), h_i)
-            got = multicast.multicast_decode(multicast.multicast_observe(x, h, None), h, cands, const)
+            got = multicast.multicast_decode(multicast.multicast_observe(x, h, None), h, const, const)
             pair_wrong = np.any(got[:, :2] != s[:, :2], axis=1)
             bad += int(np.sum(pair_wrong))
             if u == 2:
@@ -563,8 +562,7 @@ def test_criterion_11_error_bound():
             const = model.constellation_for_power(p, 2)
             s = const.draw(rng, size=4)
             beta = 1.0 + float(g_int @ s[2:]) / (h * s[1])
-            cands = core.candidate_pairs(const)
-            d2 = float(analysis.dmin_batch(s[None, :2], np.array([(beta - 1.0) * h * s[1]]), np.array([h]), cands)[0])
+            d2 = float(analysis.dmin_batch(s[None, :2], np.array([(beta - 1.0) * h * s[1]]), np.array([h]), const)[0])
             bound = analysis.pe_upper_bound(d2, 1.0)
             trials = int(np.clip(100.0 / max(bound, 1e-12), 20_000, 1_000_000))
             y0 = np.array([h * (s[0] + beta * s[1]), h * (s[1] - beta * s[0])])
@@ -573,7 +571,7 @@ def test_criterion_11_error_bound():
             while done < trials:
                 n = min(100_000, trials - done)
                 y = y0[None, :] + rng.normal(0, 1, size=(n, 2))
-                hat = core.pair_decode(y, np.broadcast_to(np.array([h, h]), (n, 2)), 1, cands)
+                hat = core.pair_decode(y, np.broadcast_to(np.array([h, h]), (n, 2)), 1, const)
                 errors += int(np.sum((hat[:, 0] != s[0]) | (hat[:, 1] != s[1])))
                 done += n
             pe = errors / trials

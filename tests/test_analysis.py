@@ -157,7 +157,7 @@ class TestDminExhaustive:
         assert expected[(1.0, -1.0)] == pytest.approx(0.0, abs=1e-12)
         assert expected[(-1.0, 1.0)] == pytest.approx(8.0)
         assert expected[(-1.0, -1.0)] == pytest.approx(8.0)
-        d2 = analysis.dmin_batch(np.array([[1.0, 1.0]]), np.zeros(1), np.ones(1), core.candidate_pairs(const))
+        d2 = analysis.dmin_batch(np.array([[1.0, 1.0]]), np.zeros(1), np.ones(1), const)
         assert d2[0] == pytest.approx(min(expected.values()), abs=1e-12)
 
     def test_matches_loop_oracle(self):
@@ -180,7 +180,7 @@ class TestDminExhaustive:
                     best = min(best, w**2)
             draws.append((h, s, (beta - 1.0) * h * s[1], best))
         h, s, interference, best = (np.array(col) for col in zip(*draws))
-        got = analysis.dmin_batch(s, interference, h, core.candidate_pairs(const))
+        got = analysis.dmin_batch(s, interference, h, const)
         np.testing.assert_allclose(got, best, rtol=1e-9, atol=1e-15)
 
     def test_blocks_bound_the_allocation(self):
@@ -197,7 +197,7 @@ class TestDminExhaustive:
         interference = rng.normal(size=n)
         tracemalloc.start()
         try:
-            d2 = analysis.dmin_batch(s, interference, h, cands)
+            d2 = analysis.dmin_batch(s, interference, h, const)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -212,7 +212,7 @@ class TestDminExhaustive:
     def test_positive_on_continuous_channels(self):
         """Generic draws keep the minimum distance strictly positive."""
         const = model.constellation_for_power(1.0, 8)
-        rep = analysis.dmin_probe(const, core.candidate_pairs(const), 100_000, np.random.default_rng(17), k=4)
+        rep = analysis.dmin_probe(const, 100_000, np.random.default_rng(17), k=4)
         assert rep.floor > 0.0
         assert rep.samples == 100_000
 

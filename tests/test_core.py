@@ -127,6 +127,16 @@ class TestCandidatePairs:
         cands = core.candidate_pairs(model.constellation_for_power(3.0, q_s))
         np.testing.assert_array_equal(cands[::-1], -cands)
 
+    @pytest.mark.parametrize("q_s", [1, 2, 8, 90])
+    def test_layout_is_the_meshgrid_column_stack(self, q_s):
+        """First member major, alphabet ascending: row i * 2 q_s + j is
+        (points[i], points[j]), bit for bit."""
+        const = model.constellation_for_power(3.0, q_s)
+        sa, sb = np.meshgrid(const.points, const.points, indexing="ij")
+        cands = core.candidate_pairs(const)
+        np.testing.assert_array_equal(cands, np.column_stack([sa.ravel(), sb.ravel()]))
+        assert cands.flags.c_contiguous
+
     def test_budget_is_one_block(self):
         """Half-size 90 gives 32400 pairs, within one block of 32768 values;
         91 would give 33124 and raises before building them."""
@@ -163,12 +173,12 @@ class TestTransmitPair:
             assert np.all(np.abs(np.sum((y_pair - v) * v, axis=1)) <= 1e-10 * scale)
 
     def test_noise_variance(self):
-        """The sweeps' pair observations carry AWGN of the configured variance."""
-        cfg = harness.ExperimentConfig("ser", sigma2=0.25)
+        """The sweeps' pair observations carry AWGN of unit variance."""
+        cfg = harness.ExperimentConfig("ser")
         const = model.constellation_for_power(1.0, 2)
         h, _, s, _, y = harness._id_frame_batch(cfg, const, 50_000, RNG(3))
         noise = y - core.frame_observe(h, s)[1]
-        np.testing.assert_allclose(np.var(noise, axis=0), [0.25, 0.25], rtol=0.05)
+        np.testing.assert_allclose(np.var(noise, axis=0), [1.0, 1.0], rtol=0.05)
 
 
 class TestOrthogonality:
@@ -414,26 +424,6 @@ class TestArgminMetric:
             np.testing.assert_allclose(folded, np.minimum(back, front), rtol=1e-12, atol=1e-9)
             np.testing.assert_allclose(folded, np.where(fold > 0, back, front), rtol=1e-12, atol=1e-9)
 
-    @pytest.mark.parametrize(
-        "cands",
-        [
-            np.array([[-1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [1.0, -1.0]]),
-            np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]]),
-            np.array([[-1.0, -2.0], [1.0, 1.0]]),
-        ],
-        ids=["shuffled", "odd-count", "not-negated"],
-    )
-    def test_non_antipodal_candidates_raise_before_scoring(self, cands):
-        calls = []
-
-        def recording(*a, **kw):
-            calls.append(a)
-            return core.weight_matrix(*a, **kw)
-
-        with pytest.raises(ValueError, match="antipodal"):
-            core.argmin_metric(recording, np.ones((3, 2)), np.ones((3, 2)), cands)
-        assert calls == []
-
 
 @settings(max_examples=40, deadline=None)
 @given(
@@ -463,7 +453,7 @@ def test_pair_decode_is_the_unfolded_argmin(seed, q_s, k, snr_db):
         )
         for decoder, full in [(core.WEIGHT, core.weight_matrix(y_m, h_pair, cands)), (core.ML, ml)]:
             np.testing.assert_array_equal(
-                core.pair_decode(y_m, h, m, cands, decoder, p, sigma2), cands[np.argmin(full, axis=1)]
+                core.pair_decode(y_m, h, m, const, decoder, p, sigma2), cands[np.argmin(full, axis=1)]
             )
 
 
@@ -489,7 +479,7 @@ def test_k2_ml_slicers_are_the_known_beta_argmin(seed, q_s, snr_db):
     scale = np.sum(y * y, axis=1) + 2.0 * np.max(np.sum((h[:, None, :] * cands) ** 2, axis=-1), axis=1)
     clear = second - best > 1e-9 * scale
     assert np.mean(clear) > 0.9
-    hat = core.pair_decode(y, h, 1, cands, core.ML, p, 1.0)
+    hat = core.pair_decode(y, h, 1, const, core.ML, p, 1.0)
     np.testing.assert_array_equal(hat[clear], cands[np.argmin(d2[clear], axis=1)])
 
 
@@ -497,7 +487,7 @@ class TestDecodePair:
     def test_noiseless_recovery_random(self):
         const, h, s = random_frames(23, 4, 100)
         _, y = core.frame_observe(h, s)
-        hat = core.pair_decode(y[:, :2], h, 1, core.candidate_pairs(const))
+        hat = core.pair_decode(y[:, :2], h, 1, const)
         np.testing.assert_array_equal(hat, s[:, :2])
 
     def test_degenerate_unit_gain_tie(self):
@@ -514,8 +504,8 @@ class TestDecodePair:
         zero_set = {(1.0, 2.0), (1.0, -2.0)}
         w = core.weight_matrix(y, h[:, :2], np.array(sorted(zero_set)))
         np.testing.assert_allclose(w, 0.0, atol=1e-12)
-        res1 = core.pair_decode(y, h, 1, cands)[0]
-        res2 = core.pair_decode(y, h, 1, cands)[0]
+        res1 = core.pair_decode(y, h, 1, const)[0]
+        res2 = core.pair_decode(y, h, 1, const)[0]
         assert tuple(res1) in zero_set
         np.testing.assert_array_equal(res1, res2)
         assert np.min(core.weight_matrix(y, h[:, :2], cands)) == pytest.approx(0.0, abs=1e-12)
@@ -524,7 +514,7 @@ class TestDecodePair:
         const, h, s = random_frames(29, 2, 1)
         _, y = core.frame_observe(np.repeat(h, 20, axis=0), np.repeat(s, 20, axis=0))
         y += RNG(29, 1).normal(0.0, 1e3, size=y.shape)
-        hat = core.pair_decode(y, np.repeat(h, 20, axis=0), 1, core.candidate_pairs(const))
+        hat = core.pair_decode(y, np.repeat(h, 20, axis=0), 1, const)
         assert np.isin(hat, const.points).all()
 
 
@@ -577,11 +567,10 @@ class TestMlDecodePair:
         """As sigma2 -> 0 the likelihood metric orders like the weight."""
         p, sigma2 = 1.0, 1e-12
         const, h, s = random_frames(41, 4, 100, p=p)
-        cands = core.candidate_pairs(const)
         _, y = core.frame_observe(h, s)
         y = y[:, :2] + RNG(41, 1).normal(0.0, np.sqrt(sigma2), size=(100, 2))
-        w_hat = core.pair_decode(y, h, 1, cands)
-        ml_hat = core.pair_decode(y, h, 1, cands, core.ML, p, sigma2)
+        w_hat = core.pair_decode(y, h, 1, const)
+        ml_hat = core.pair_decode(y, h, 1, const, core.ML, p, sigma2)
         np.testing.assert_array_equal(w_hat, ml_hat)
 
     def test_eta2_matches_dissolution_factor_variance(self):
@@ -604,36 +593,17 @@ class TestMlDecodePair:
         cands = core.candidate_pairs(const)
         _, y = core.frame_observe(h, s)
         y += RNG(47, 1).normal(0.0, np.sqrt(0.5), size=y.shape)
-        hat = core.pair_decode(y, h, 1, cands, core.ML, 1.0, 0.5)
+        hat = core.pair_decode(y, h, 1, const, core.ML, 1.0, 0.5)
         v = h[:, None, :] * cands
         z = np.stack([v[..., 0] + v[..., 1], v[..., 1] - v[..., 0]], axis=-1)
         best = cands[np.argmin(np.sum((y[:, None, :] - z) ** 2, axis=-1), axis=1)]
         np.testing.assert_array_equal(hat, best)
         assert 0 < np.mean(np.any(hat != s, axis=1)) < 1
 
-    @pytest.mark.parametrize(
-        "cands",
-        [
-            np.array([[a, b] for a in (-3.0, -1.0, 1.0, 3.0) for b in (-3.0, -1.0, 1.0, 3.0)]),
-            np.array([[-1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [1.0, -1.0]]),
-            -core.candidate_pairs(model.PamConstellation(1.0, 2)),
-            np.empty((0, 2)),
-        ],
-        ids=["not-pam", "shuffled", "negated", "empty"],
-    )
-    def test_k2_non_product_candidates_raise_before_decoding(self, monkeypatch, cands):
-        """The K = 2 slicers read the alphabet off the layout of
-        ``candidate_pairs``; any other candidate set is refused unsliced."""
-        calls = []
-        monkeypatch.setattr(model.PamConstellation, "nearest", lambda *a: calls.append(a))
-        with pytest.raises(ValueError, match="candidate pairs of one PAM alphabet"):
-            core.pair_decode(np.ones((3, 2)), np.ones((3, 2)), 1, cands, core.ML, 1.0, 1.0)
-        assert calls == []
-
     def test_known_beta_noiseless_exact(self):
         const, h, s = random_frames(53, 2, 50)
         _, y = core.frame_observe(h, s)
-        np.testing.assert_array_equal(core.pair_decode(y, h, 1, core.candidate_pairs(const), core.ML, 1.0, 1.0), s)
+        np.testing.assert_array_equal(core.pair_decode(y, h, 1, const, core.ML, 1.0, 1.0), s)
 
 
 class TestFrame:
@@ -641,7 +611,7 @@ class TestFrame:
         const, h, s = random_frames(59, 4, 1)
         _, y = core.frame_observe(h, s)
         assert y.shape == (1, 3) and core.channel_uses(4) == 3
-        np.testing.assert_array_equal(core.frame_decode(y, h, core.candidate_pairs(const)), s)
+        np.testing.assert_array_equal(core.frame_decode(y, h, const), s)
 
     def test_k5_counting_and_recovery(self):
         """Odd frame: 3 pairs, 4 uses, 5/4 symbols per use, exact recovery."""
@@ -650,7 +620,7 @@ class TestFrame:
         assert beta.shape == (1, 3) and y.shape == (1, 4)
         assert core.channel_uses(5) == 4
         assert 5 / core.channel_uses(5) == pytest.approx(1.25)
-        np.testing.assert_array_equal(core.frame_decode(y, h, core.candidate_pairs(const)), s)
+        np.testing.assert_array_equal(core.frame_decode(y, h, const), s)
 
     def test_shared_first_observation(self):
         """One first use serves every pair: it is each pair's own first use."""
@@ -666,11 +636,10 @@ class TestFrame:
         """For odd K the last pair repeats s_1; pair 1's decision of it is kept
         even when the last pair's second use is wrecked."""
         const, h, s = random_frames(69, 5, 30)
-        cands = core.candidate_pairs(const)
         _, y = core.frame_observe(h, s)
         y[:, 3] += 1e3
-        s_hat = core.frame_decode(y, h, cands)
-        last = core.pair_decode(y[:, [0, 3]], h, 3, cands)
+        s_hat = core.frame_decode(y, h, const)
+        last = core.pair_decode(y[:, [0, 3]], h, 3, const)
         assert np.any(last[:, 1] != s[:, 0])
         np.testing.assert_array_equal(s_hat[:, :4], s[:, :4])
         np.testing.assert_array_equal(s_hat[:, 4], last[:, 0])
@@ -678,20 +647,20 @@ class TestFrame:
     def test_ml_frame_decoding(self):
         const, h, s = random_frames(71, 4, 10)
         _, y = core.frame_observe(h, s)
-        s_hat = core.frame_decode(y, h, core.candidate_pairs(const), core.ML, p=1.0, sigma2=1e-9)
+        s_hat = core.frame_decode(y, h, const, core.ML, p=1.0, sigma2=1e-9)
         np.testing.assert_array_equal(s_hat, s)
 
     def test_ml_frame_requires_parameters(self):
         const, h, s = random_frames(73, 4, 1)
         _, y = core.frame_observe(h, s)
         with pytest.raises(ValueError):
-            core.frame_decode(y, h, core.candidate_pairs(const), core.ML)
+            core.frame_decode(y, h, const, core.ML)
 
     def test_unknown_decoder_rejected(self):
         const, h, s = random_frames(73, 4, 1)
         _, y = core.frame_observe(h, s)
         with pytest.raises(ValueError):
-            core.frame_decode(y, h, core.candidate_pairs(const), "viterbi")
+            core.frame_decode(y, h, const, "viterbi")
 
     def test_second_use_power(self):
         """Realized second-use power is beta^2 s_a^2 + s_b^2, not renormalized."""
@@ -705,10 +674,9 @@ class TestFrame:
 class TestDeterminism:
     def test_identical_inputs_identical_outputs(self):
         const, h, s = random_frames(79, 4, 50)
-        cands = core.candidate_pairs(const)
         _, y = core.frame_observe(h, s)
         y = y[:, :2] + RNG(79, 1).normal(0.0, np.sqrt(10.0), size=(50, 2))
-        first = core.pair_decode(y, h, 1, cands)
+        first = core.pair_decode(y, h, 1, const)
         for _ in range(5):
-            np.testing.assert_array_equal(core.pair_decode(y, h, 1, cands), first)
-            np.testing.assert_array_equal(core.pair_decode(y[::-1], h[::-1], 1, cands), first[::-1])
+            np.testing.assert_array_equal(core.pair_decode(y, h, 1, const), first)
+            np.testing.assert_array_equal(core.pair_decode(y[::-1], h[::-1], 1, const), first[::-1])

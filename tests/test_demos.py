@@ -1,4 +1,5 @@
-"""Every demo script runs to completion, warning-free."""
+"""Every demo script runs to completion, warning-free, and prints exactly its
+recorded output in ``demos/expected/<name>.txt``."""
 
 import glob
 import os
@@ -9,7 +10,8 @@ import pytest
 
 from test_harness import subprocess_env
 
-DEMOS = sorted(glob.glob(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos", "*.py")))
+DEMO_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+DEMOS = sorted(glob.glob(os.path.join(DEMO_DIR, "*.py")))
 
 
 def test_demos_found():
@@ -18,7 +20,9 @@ def test_demos_found():
 
 @pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
 def test_demo_runs(path):
-    """Under the test suite's warning policy, with nothing on stderr."""
+    """Under the test suite's warning policy, with nothing on stderr. The
+    demos print 3-6 significant digits, so last-bit rounding differences in
+    BLAS cannot change their output."""
     res = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", path],
         env=subprocess_env(os.environ),
@@ -28,3 +32,6 @@ def test_demo_runs(path):
     )
     assert res.returncode == 0, res.stderr
     assert res.stderr == ""
+    name = os.path.splitext(os.path.basename(path))[0]
+    with open(os.path.join(DEMO_DIR, "expected", f"{name}.txt"), encoding="utf-8") as fh:
+        assert res.stdout == fh.read()

@@ -184,17 +184,17 @@ class TestNoise:
         np.testing.assert_array_equal(self.noise(1.0, 5, 4), self.noise(1.0, 5, 4))
 
     def test_invalid_variance(self):
-        """The sweeps' noise variance is validated where it is set."""
-        with pytest.raises(ValueError):
+        """The sweeps' noise variance is fixed at one: no config sets it."""
+        with pytest.raises(TypeError):
             harness.ExperimentConfig("ser", sigma2=-1.0)
 
 
 class TestPowerBudget:
-    """A grid point's per-symbol power is zeta * sigma2, zeta = 10^(dB / 10)."""
+    """A grid point's per-symbol power is zeta = 10^(dB / 10) at unit noise variance."""
 
     def test_from_power(self):
-        cfg = harness.ExperimentConfig("ser", sigma2=2.0)
-        assert cfg.power_at(10.0 * np.log10(5.0)) == pytest.approx(10.0, rel=1e-14)
+        cfg = harness.ExperimentConfig("ser")
+        assert cfg.power_at(10.0 * np.log10(5.0)) == pytest.approx(5.0, rel=1e-14)
 
     def test_from_zeta_db(self):
         assert harness.ExperimentConfig("ser").power_at(30.0) == pytest.approx(1000.0)

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from idsim import core, model, multicast
+from idsim import model, multicast
 
 
 ALPHA = multicast.ALPHA
@@ -46,13 +46,12 @@ class TestReceiveDecode:
     def test_noiseless_exact_all_users_small_alphabet(self):
         rng = np.random.default_rng(3)
         const = model.constellation_for_power(1.0, 2)
-        cands = core.candidate_pairs(const)
         gains = model._signed_rayleigh(rng, 3)
         s = every_frame(const)
         _, x = multicast.multicast_precode(s)
         for h_i in gains:
             h = np.full(len(s), h_i)
-            got = multicast.multicast_decode(multicast.multicast_observe(x, h, None), h, cands, const)
+            got = multicast.multicast_decode(multicast.multicast_observe(x, h, None), h, const, const)
             np.testing.assert_array_equal(got[:, :2], s[:, :2])
 
     def test_totality_under_heavy_noise(self):
@@ -60,7 +59,7 @@ class TestReceiveDecode:
         const = model.constellation_for_power(1.0, 2)
         _, x = multicast.multicast_precode(np.tile([1.0, 1.0, const.points[0]], (20, 1)))
         h = np.full(20, 0.8)
-        got = multicast.multicast_decode(multicast.multicast_observe(x, h, 1e6, rng), h, core.candidate_pairs(const), const)
+        got = multicast.multicast_decode(multicast.multicast_observe(x, h, 1e6, rng), h, const, const)
         assert np.isin(got[:, :2], const.points).all()
 
 
