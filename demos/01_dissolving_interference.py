@@ -40,9 +40,8 @@ for m in range(1, core.num_pairs(K) + 1):
     lhs = h[a] * s[a] + beta[m - 1] * h[b] * s[b]
     print(f"pair {m}: h_a s_a + beta h_b s_b = {lhs:+.6f}  vs  y1 = {y1:+.6f}")
 
-# Decode pair 1 in noise and show the weight landscape.
-sigma2 = 1.0
-y_pair = y[:, :2] + rng.normal(0.0, np.sqrt(sigma2), size=(1, 2))
+# Decode pair 1 in unit-variance noise and show the weight landscape.
+y_pair = y[:, :2] + rng.normal(0.0, 1.0, size=(1, 2))
 cands = core.candidate_pairs(const)
 weights = core.weight_matrix(y_pair, h[None, :2], cands)[0]
 order = np.argsort(weights)

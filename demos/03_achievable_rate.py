@@ -40,5 +40,5 @@ print("\nOne-bit capacity gap, K=100 symbols on N=2 antennas (10 draws each):")
 rng = np.random.default_rng(1)
 for zdb in (0.0, 10.0, 20.0, 30.0):
     p = 10.0 ** (zdb / 10.0)
-    margins = [analysis.capacity_gap_margin(*model.draw_channels(100, 2, 1, rng), p, 1.0)[0] for _ in range(10)]
+    margins = [analysis.capacity_gap_margin(*model.draw_channels(100, 2, 1, rng), p)[0] for _ in range(10)]
     print(f"  zeta={zdb:4.0f} dB: min margin over draws = {min(margins):.3f} bits (> 0)")

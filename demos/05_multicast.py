@@ -23,10 +23,9 @@ print(f"symbols: s1={s1:+.3f} s2={s2:+.3f} s3={s3:+.3f}  alpha={alpha:.6f}")
 print(f"sent: x1 = {x[0]:+.4f} (= s1 + beta*s2), x2 = {x[1]:+.4f}, beta = {beta:+.4f}")
 
 gains = model._signed_rayleigh(rng, 3)
-sigma2 = 1.0
 for user, h_i in enumerate(gains, start=1):
-    # One user's observation of one frame is a batch of n = 1.
-    y = multicast.multicast_observe(x[None], h_i[None], sigma2, rng)
+    # One user's observation of one frame, in unit-variance noise, is a batch of n = 1.
+    y = multicast.multicast_observe(x[None], h_i[None], rng)
     got = multicast.multicast_decode(y, h_i[None], const, const)[0]
     line = f"user {user} (h={h_i:+.3f}): pair -> ({got[0]:+.3f}, {got[1]:+.3f})"
     if user == 3:

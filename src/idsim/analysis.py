@@ -1,13 +1,14 @@
 """Closed-form rates and capacity, error bounds, and empirical probers.
 
-The Gaussian-input rate of pair m over its two observations is
+Noise variance is one, so a power P is the SNR zeta = P / sigma^2: at noise
+variance sigma^2, pass P / sigma^2 and scale a covariance by sigma^2. The
+Gaussian-input rate of pair m over its two observations is
 
-    R_m = 1/2 log2(1 + P S / s2) + 1/2 log2((s2 + P S) / (2 P S_m + s2)),
+    R_m = 1/2 log2(1 + P S) + 1/2 log2((1 + P S) / (2 P S_m + 1)),
 
-with S the full gain-power sum, S_m the out-of-pair sum and s2 the noise
-variance; the overall per-use rate averages the pairs over ceil(K/2) + 1
-uses. The minimum-distance prober and the DoF slope estimator verify the
-scaling claims empirically rather than re-proving them.
+with S the full gain-power sum and S_m the out-of-pair sum; the overall
+per-use rate averages the pairs over ceil(K/2) + 1 uses. The minimum-distance
+prober and the DoF slope estimator verify the scaling claims empirically.
 """
 
 from __future__ import annotations
@@ -26,39 +27,39 @@ DOF_CHUNK = 2048
 DOF_FIT_POINTS = 3
 
 
-def capacity_miso(g: np.ndarray, p_s: float, sigma2: float):
-    """MISO capacity 1/2 log2(1 + p_s * sum g^2 / sigma2); g may be (..., N)."""
-    if p_s <= 0 or sigma2 <= 0:
-        raise ValueError("power and noise variance must be positive")
+def capacity_miso(g: np.ndarray, p_s: float):
+    """MISO capacity 1/2 log2(1 + p_s * sum g^2); g may be (..., N)."""
+    if p_s <= 0:
+        raise ValueError("power must be positive")
     g = np.asarray(g, dtype=float)
-    return 0.5 * np.log2(1.0 + p_s * np.sum(g**2, axis=-1) / sigma2)
+    return 0.5 * np.log2(1.0 + p_s * np.sum(g**2, axis=-1))
 
 
-def rate_pair_gaussian(h: np.ndarray, p: float, sigma2: float, m: int):
+def rate_pair_gaussian(h: np.ndarray, p: float, m: int):
     """Gaussian-input rate of pair m over (y_1, y_{m+1}), in bits per two uses,
     for symbol gains h (..., K); the result is (...,)."""
     s_all = np.sum(h**2, axis=-1)
     s_excl = core.out_of_pair_sum(h**2, m)
-    first = 0.5 * np.log2(1.0 + p * s_all / sigma2)
-    second = 0.5 * np.log2((sigma2 + p * s_all) / (2.0 * p * s_excl + sigma2))
+    first = 0.5 * np.log2(1.0 + p * s_all)
+    second = 0.5 * np.log2((1.0 + p * s_all) / (2.0 * p * s_excl + 1.0))
     return first + second
 
 
-def rate_total(h: np.ndarray, p: float, sigma2: float):
+def rate_total(h: np.ndarray, p: float):
     """Overall rate per channel use: the pair rates split over ceil(K/2)+1 uses."""
     pairs = core.num_pairs(h.shape[-1])
-    total = sum(rate_pair_gaussian(h, p, sigma2, m) for m in range(1, pairs + 1))
+    total = sum(rate_pair_gaussian(h, p, m) for m in range(1, pairs + 1))
     return total / (pairs + 1)
 
 
-def capacity_gap_margin(h: np.ndarray, g: np.ndarray, p: float, sigma2: float):
+def capacity_gap_margin(h: np.ndarray, g: np.ndarray, p: float):
     """Margin R - (C - 1) of the one-bit capacity-gap claim, with P_s = 2P.
 
     h (..., K) and g (..., N) are the symbol and antenna gains; the claim
     holds where the margin is positive. Meaningful under the K > N
     shared-antenna mapping where sum h^2 exceeds sum g^2 and K is large.
     """
-    return rate_total(h, p, sigma2) - (capacity_miso(g, 2.0 * p, sigma2) - 1.0)
+    return rate_total(h, p) - (capacity_miso(g, 2.0 * p) - 1.0)
 
 
 def binary_entropy(p_e: float) -> float:
@@ -76,11 +77,11 @@ def fano_rate_lower_bound(p_e: float, q_s: int) -> float:
     return float(max(0.0, bound))
 
 
-def pe_upper_bound(dmin2: float, sigma2: float) -> float:
-    """Error-probability bound exp(-dmin2 / (8 sigma2))."""
+def pe_upper_bound(dmin2: float) -> float:
+    """Error-probability bound exp(-dmin2 / 8)."""
     if dmin2 < 0:
         raise ValueError("squared distance must be non-negative")
-    return float(np.exp(-dmin2 / (8.0 * sigma2)))
+    return float(np.exp(-dmin2 / 8.0))
 
 
 @dataclass
@@ -170,13 +171,16 @@ def dof_slope(p_grid, epsilon: float, trials: int, rng: np.random.Generator, k: 
     fixed generic channel draw (the degrees-of-freedom claim is per
     realization); the pair-error probability is pooled over symbol and
     unit-variance noise draws. Every power must exceed 1 (0 dB), where
-    (1/2) log2 P, the divisor of ``DofPoint.ratio``, is positive. Every
-    point's half-size is checked before the first draw, so an alphabet too
-    large to enumerate fails before any point runs.
+    (1/2) log2 P, the divisor of ``DofPoint.ratio``, is positive, and the
+    grid must strictly increase (``dof_growth_slope``). Every point's
+    half-size is checked before the first draw, so an alphabet too large to
+    enumerate fails before any point runs.
     """
     p_grid = np.asarray(p_grid, dtype=float)
     if not np.all(p_grid > 1.0):
         raise ValueError("dof needs every power above 0 dB: (1/2) log2 P must be positive")
+    if not np.all(np.diff(p_grid) > 0.0):
+        raise ValueError("dof needs a strictly increasing power grid: its slope is fitted over the top points")
     consts = [constellation_for_power(p, constellation_size_for_power(p, epsilon)) for p in p_grid]
     for const in consts:
         core.check_half_size(const.q_s)
@@ -192,10 +196,11 @@ def dof_slope(p_grid, epsilon: float, trials: int, rng: np.random.Generator, k: 
 def dof_growth_slope(points: list[DofPoint]) -> float:
     """Degrees-of-freedom estimate: growth rate of the Fano bound.
 
-    Regression slope of the bound against (1/2) log2 P over the top
-    DOF_FIT_POINTS grid points. The ratio bound / ((1/2) log2 P) converges
-    to the same limit but only slowly, since the critical constellation
-    scaling keeps the error probability order one at bench-scale powers.
+    Regression slope of the bound against (1/2) log2 P over the last
+    DOF_FIT_POINTS grid points, the top ones, as ``dof_slope``'s grid
+    increases. The ratio bound / ((1/2) log2 P) converges to the same limit
+    but only slowly, since the critical constellation scaling keeps the
+    error probability order one at bench-scale powers.
     """
     pts = points[-DOF_FIT_POINTS:]
     x = np.array([0.5 * np.log2(pt.p) for pt in pts])
@@ -219,24 +224,24 @@ def _pair_error_rate(
     return errors / trials
 
 
-def cov_unconditional(h: np.ndarray, p: float, sigma2: float) -> np.ndarray:
-    """Closed-form covariance of (y_1, y_{m+1}) for symbol gains h (K,): (P sum h^2 + sigma2) I."""
+def cov_unconditional(h: np.ndarray, p: float) -> np.ndarray:
+    """Closed-form covariance of (y_1, y_{m+1}) for symbol gains h (K,): (P sum h^2 + 1) I."""
     s_all = float(np.sum(h**2))
-    return (p * s_all + sigma2) * np.eye(2)
+    return (p * s_all + 1.0) * np.eye(2)
 
 
-def cov_conditional(h: np.ndarray, p: float, sigma2: float, m: int, ratio: float = 1.0) -> np.ndarray:
+def cov_conditional(h: np.ndarray, p: float, m: int, ratio: float = 1.0) -> np.ndarray:
     """Covariance of (y_1, y_{m+1}) given the pair, with r = h_a s_a / (h_b s_b).
 
     Exact for any alphabet: the residual randomness is the interference sum,
     which enters y_{m+1} scaled by -r. ``ratio=1`` gives the matrix whose
-    determinant equals the expectation convention sigma2 (2 P S_m + sigma2)
-    used by the closed-form rate.
+    determinant equals the expectation convention 2 P S_m + 1 used by the
+    closed-form rate.
     """
     s_excl = p * core.out_of_pair_sum(h**2, m)
     return np.array(
         [
-            [s_excl + sigma2, -ratio * s_excl],
-            [-ratio * s_excl, ratio**2 * s_excl + sigma2],
+            [s_excl + 1.0, -ratio * s_excl],
+            [-ratio * s_excl, ratio**2 * s_excl + 1.0],
         ]
     )

@@ -6,6 +6,7 @@ Examples:
     idsim dmin --qs 16 --trials 1000
     idsim dof --snr-db 20:10:60 --trials 4000
     idsim multicast --qs 2 --snr-db 0:5:30 --trials 20000
+    idsim ser --snr-db=-10:5:20 --trials 20000  (a grid from below 0 dB needs the =)
 """
 
 from __future__ import annotations

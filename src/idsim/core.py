@@ -87,8 +87,8 @@ def frame_observe(h: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     dissolution factors beta, shape (n, M), and the 1 + M channel uses y,
     shape (n, 1 + M): the shared first use (pair 1's), then one second use
     per pair in pair order. Pair m is decoded from ``y[:, [0, m]]``. Noise
-    is the caller's: one ``rng.normal(0, sqrt(sigma2), y.shape)`` draws it
-    for the shared use first, then for each second use when n = 1.
+    is the caller's, at unit variance: one ``rng.normal(0, 1, y.shape)``
+    draws it for the shared use first, then for each second use when n = 1.
     """
     if h.shape != s.shape:
         raise ValueError(f"gains {h.shape} and symbols {s.shape} differ in shape")
@@ -167,30 +167,24 @@ def weight_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, out=None
 _TINY = np.nextafter(0.0, 1.0)
 
 
-def ml_metric_matrix(
-    y: np.ndarray,
-    h_pair: np.ndarray,
-    cands: np.ndarray,
-    interference_power: np.ndarray,
-    sigma2: float,
-    out=None,
-    fold=None,
-) -> np.ndarray:
-    """Full-covariance likelihood metric for every candidate pair.
+def ml_metric_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, interference_power: np.ndarray,
+                     out=None, fold=None) -> np.ndarray:
+    """Full-covariance likelihood metric for every candidate pair, at unit
+    noise variance.
 
-    ``interference_power`` I >= 0 is p * sum of out-of-pair h_k^2 (shape
-    (...,)), so eta^2(cand) = I / (h_b * cand_b)^2. The metric is
-    sigma2 * (y - v)^T C^{-1} (y - v) with C = eta^2 vperp vperp^T + sigma2 I,
+    ``interference_power`` I >= 0 is the per-symbol power times the sum of
+    out-of-pair h_k^2 (shape (...,)), so eta^2(cand) = I / (h_b * cand_b)^2.
+    The metric is (y - v)^T C^{-1} (y - v) with C = eta^2 vperp vperp^T + I_2,
     evaluated through the rank-one closed form with its correction multiplied
     top and bottom by (h_b cand_b)^2:
 
-        ||y - v||^2 - I <y, vperp>^2 / (sigma2 (h_b cand_b)^2 + I ||v||^2),
+        ||y - v||^2 - I <y, vperp>^2 / ((h_b cand_b)^2 + I ||v||^2),
 
     using <v, vperp> = 0. Each (..., C) operand is one matrix product:
     ||y - v||^2 = E - 2 A, with the even product
     E = [||y||^2, h0^2, h1^2] @ [1, ca^2, cb^2]^T and the odd product
     A = (y * h_pair) @ cands^T; sqrt(I) <y, vperp> = sqrt(I) [y0 h1, y1 h0] @ [cb, -ca]^T;
-    and the denominator is [I h0^2, (sigma2 + I) h1^2] @ [ca^2, cb^2]^T.
+    and the denominator is [I h0^2, (1 + I) h1^2] @ [ca^2, cb^2]^T.
     Where the denominator is zero, so is the numerator, and the correction
     is 0. y and h_pair have the same shape; ``out``, if given, holds at
     least three (..., C) float64 buffers, and the result is written into
@@ -210,7 +204,7 @@ def ml_metric_matrix(
     y_rot = np.sqrt(ipow)[..., None] * (y * h_pair[..., ::-1])
     proj = np.matmul(y_rot, (cands[:, ::-1] * [1.0, -1.0]).T, out=proj)
     proj *= proj
-    denom = np.matmul(h_sq * np.stack([ipow, sigma2 + ipow], axis=-1), c_sq.T, out=denom)
+    denom = np.matmul(h_sq * np.stack([ipow, 1.0 + ipow], axis=-1), c_sq.T, out=denom)
     np.maximum(denom, _TINY, out=denom)
     proj /= denom
     d_sq -= proj
@@ -242,8 +236,8 @@ def argmin_metric(metric, y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, 
     The argmin j over the half names C//2 + j where odd > 0, else its
     antipode C//2 - 1 - j, the earlier one of a tied pair.
 
-    y and h_pair are (n, 2); an array in ``args`` holds one value per row
-    and is sliced with them, a scalar is passed as it is. The metric is
+    y and h_pair are (n, 2), and every array in ``args`` holds one value
+    per row and is sliced with them. The metric is
     evaluated on blocks of about ``BLOCK_VALUES`` values, so no (n, C) array
     is built; every row is scored on its own, so the result is the row-wise
     argmin of the whole (n, C) metric; only an exact tie between two pairs
@@ -261,7 +255,7 @@ def argmin_metric(metric, y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, 
     for lo in range(0, n, rows):
         block = slice(lo, lo + rows)
         m = min(rows, n - lo)
-        part = [a[block] if np.ndim(a) else a for a in args]
+        part = [a[block] for a in args]
         out, fold = ([b[:m] for b in bufs], odd_buf[:m]) if m < rows else (bufs, odd_buf)
         np.argmin(metric(y[block], h_pair[block], back, *part, out=out, fold=fold), axis=1, out=idx[block])
         np.take(odd_buf, starts[:m] + idx[block], out=odd[block], mode="clip")
@@ -270,16 +264,18 @@ def argmin_metric(metric, y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, 
     return half + (idx ^ np.subtract(odd > 0, 1, dtype=np.intp))
 
 
-def pair_decode(y, h, m, const, decoder=WEIGHT, p=None, sigma2=None) -> np.ndarray:
+def pair_decode(y, h, m, const, decoder=WEIGHT) -> np.ndarray:
     """Decisions (n, 2) on pair m of frames with gains h (n, K) from its
-    observations y (n, 2), both symbols from the alphabet ``const``.
+    observations y (n, 2) at unit noise variance, both symbols from the
+    alphabet ``const``.
 
     ``WEIGHT`` takes the weight argmin over ``candidate_pairs(const)``.
     ``ML`` at K > 2 takes the argmin of the full-covariance likelihood,
-    which models the interferers as zero-mean with per-symbol power ``p``
-    in noise of variance ``sigma2``. A tie within an antipodal pair
-    resolves to the first candidate; an exact tie between two pairs goes to
-    the pair whose back-half member comes first (``argmin_metric``).
+    which models the interferers as zero-mean with the alphabet's power
+    ``const.power`` each, since they are drawn from it. A tie within an
+    antipodal pair resolves to the first candidate; an exact tie between
+    two pairs goes to the pair whose back-half member comes first
+    (``argmin_metric``).
 
     ``ML`` at K = 2 is exact ML with beta = 1: y = s_a (h_a, -h_a) +
     s_b (h_b, h_b) + noise has orthogonal columns, so it splits into two
@@ -293,19 +289,17 @@ def pair_decode(y, h, m, const, decoder=WEIGHT, p=None, sigma2=None) -> np.ndarr
     h_pair = h[:, a : b + 1] if b == a + 1 else h[:, [a, b]]
     metric, args = weight_matrix, ()
     if decoder == ML:
-        if p is None or sigma2 is None:
-            raise ValueError("ml decoding needs p and sigma2")
         if k == 2:
             u = np.stack([y[:, 0] - y[:, 1], y[:, 0] + y[:, 1]], axis=-1)
             return const.nearest(u / (2 * h_pair))
-        metric, args = ml_metric_matrix, (p * out_of_pair_sum(h**2, m), sigma2)
+        metric, args = ml_metric_matrix, (const.power * out_of_pair_sum(h**2, m),)
     elif decoder != WEIGHT:
         raise ValueError(f"unknown decoder {decoder!r}")
     cands = candidate_pairs(const)
     return cands[argmin_metric(metric, y, h_pair, cands, *args)]
 
 
-def frame_decode(y, h, const, decoder=WEIGHT, p=None, sigma2=None) -> np.ndarray:
+def frame_decode(y, h, const, decoder=WEIGHT) -> np.ndarray:
     """The K symbols (n, K) of frames observed as ``frame_observe``'s y (n, 1 + M).
 
     Each pair is decoded by ``pair_decode`` over the alphabet ``const`` from
@@ -314,5 +308,5 @@ def frame_decode(y, h, const, decoder=WEIGHT, p=None, sigma2=None) -> np.ndarray
     """
     s_hat = np.empty(h.shape)
     for m in range(num_pairs(h.shape[-1]), 0, -1):
-        s_hat[:, list(pair_members(h.shape[-1], m))] = pair_decode(y[:, [0, m]], h, m, const, decoder, p, sigma2)
+        s_hat[:, list(pair_members(h.shape[-1], m))] = pair_decode(y[:, [0, m]], h, m, const, decoder)
     return s_hat

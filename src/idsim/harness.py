@@ -10,7 +10,7 @@ byte-identical for every number of processes. ``dmin`` and
 ``dof`` draw from one sequential stream and run in this process. Every
 sweep builds all its grid points (power, alphabet) before its first draw
 or fork, so a grid that cannot run fails before any work.
-Noise variance is fixed at one; the SNR axis is zeta = P / sigma2, so the
+Noise variance is fixed at one; the SNR axis is zeta = P / sigma^2, so the
 per-symbol power at a grid point is the linear zeta.
 """
 
@@ -279,9 +279,9 @@ def _id_frame_batch(cfg, const, n, rng):
     return h, g, s, beta, y
 
 
-def _id_decode_batch(cfg, const, h, y, p):
+def _id_decode_batch(cfg, const, h, y):
     """Decode pair 1 for a chunk; returns decoded pairs (n, 2)."""
-    return core.pair_decode(y, h, 1, const, cfg.decoder, p, 1.0)
+    return core.pair_decode(y, h, 1, const, cfg.decoder)
 
 
 def _pair_errors(hat: np.ndarray, s: np.ndarray) -> int:
@@ -294,9 +294,9 @@ def _ser_chunk(cfg, point, rng, n):
 
     ``power2`` is this chunk's sum of second-use powers.
     """
-    p, const, const2p = point
+    const, const2p = point
     h, g, s, beta, y = _id_frame_batch(cfg, const, n, rng)
-    id_err = _pair_errors(_id_decode_batch(cfg, const, h, y, p), s)
+    id_err = _pair_errors(_id_decode_batch(cfg, const, h, y), s)
     power2 = float(np.sum(core.second_use_power(beta, s)))
 
     sm = const2p.draw(rng, size=n)
@@ -314,7 +314,7 @@ def run_ser_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     points = []
     for zdb in cfg.zeta_db_grid:
         p = cfg.power_at(zdb)
-        points.append((p, _alphabet(p, cfg.q_s), model.constellation_for_power(2.0 * p, cfg.q_s)))
+        points.append((_alphabet(p, cfg.q_s), model.constellation_for_power(2.0 * p, cfg.q_s)))
     sums = _run_chunks(cfg, _ser_chunk, points)
 
     rows: list[SweepRow] = []
@@ -344,9 +344,9 @@ def _rate_chunk(cfg, point, rng, n):
     ID decoder's pair-1 symbol errors."""
     p, const = point
     h, g, s, _, y = _id_frame_batch(cfg, const, n, rng)
-    c_sum = float(np.sum(analysis.capacity_miso(g, 2.0 * p, 1.0)))
-    r_sum = float(np.sum(analysis.rate_total(h, p, 1.0)))
-    return c_sum, r_sum, _pair_errors(_id_decode_batch(cfg, const, h, y, p), s)
+    c_sum = float(np.sum(analysis.capacity_miso(g, 2.0 * p)))
+    r_sum = float(np.sum(analysis.rate_total(h, p)))
+    return c_sum, r_sum, _pair_errors(_id_decode_batch(cfg, const, h, y), s)
 
 
 def run_rate_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
@@ -424,7 +424,7 @@ def _multicast_chunk(cfg, const, rng, n):
     _, x = multicast.multicast_precode(s)
     errors = []
     for u in range(3):
-        y = multicast.multicast_observe(x, gains[:, u], 1.0, rng)
+        y = multicast.multicast_observe(x, gains[:, u], rng)
         s_hat = multicast.multicast_decode(y, gains[:, u], const, const)
         errors.append(int(np.sum(s_hat[:, u] != s[:, u])))
     return errors

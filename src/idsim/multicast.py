@@ -35,18 +35,15 @@ def multicast_precode(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return core.dissolve(np.ones(2), s[..., :2], ALPHA * s[..., 2])
 
 
-def multicast_observe(
-    x: np.ndarray, h: np.ndarray, sigma2: float | None, rng: np.random.Generator | None = None
-) -> np.ndarray:
+def multicast_observe(x: np.ndarray, h: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
     """Observations h * x + noise of users with gains h (...,) of frames x (..., 2).
 
-    The noise is drawn in one call of the observations' shape.
+    The unit-variance noise is drawn from ``rng`` in one call of the
+    observations' shape; without ``rng`` the observations are noiseless.
     """
     y = np.asarray(h)[..., None] * x
-    if sigma2 is not None:
-        if rng is None:
-            raise ValueError("rng is required when noise is present")
-        y += rng.normal(0.0, np.sqrt(sigma2), size=y.shape)
+    if rng is not None:
+        y += rng.normal(0.0, 1.0, size=y.shape)
     return y
 
 
@@ -91,7 +88,7 @@ def s3_rate_slope(p_grid, epsilon: float, trials: int, rng: np.random.Generator)
         for n in core.chunk_sizes(trials, S3_CHUNK):
             s = np.column_stack([pair_const.draw(rng, size=(n, 2)), s3_const.draw(rng, size=n)])
             h = np.ones(n)
-            y = multicast_observe(multicast_precode(s)[1], h, 1.0, rng)
+            y = multicast_observe(multicast_precode(s)[1], h, rng)
             s3_hat = multicast_decode(y, h, pair_const, s3_const)[:, 2]
             errors += int(np.sum(s3_hat != s[:, 2]))
         pe = errors / trials

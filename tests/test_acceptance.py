@@ -120,7 +120,7 @@ class Agreement(NamedTuple):
 
 def _agreement(zeta_db: float, trials: int) -> Agreement:
     rng = np.random.default_rng([SEED, 3, int(zeta_db * 10)])
-    p, sigma2 = 10.0 ** (zeta_db / 10.0), 1.0
+    p = 10.0 ** (zeta_db / 10.0)
     const = model.constellation_for_power(p, 2)
     cands = core.candidate_pairs(const)
     agree = err_w = err_ml = both = only_w = only_ml = 0
@@ -136,7 +136,7 @@ def _agreement(zeta_db: float, trials: int) -> Agreement:
         y[:, 1] = h[:, 1] * s[:, 1] - beta * h[:, 0] * s[:, 0] + rng.normal(0, 1, n)
         w = core.weight_matrix(y, h[:, :2], cands)
         ipow = p * np.sum(h[:, 2:] ** 2, axis=1)
-        ml = core.ml_metric_matrix(y, h[:, :2], cands, ipow, sigma2)
+        ml = core.ml_metric_matrix(y, h[:, :2], cands, ipow)
         w_idx, ml_idx = np.argmin(w, axis=1), np.argmin(ml, axis=1)
         w_wrong = np.any(cands[w_idx] != s[:, :2], axis=1)
         ml_wrong = np.any(cands[ml_idx] != s[:, :2], axis=1)
@@ -216,9 +216,11 @@ def test_criterion_04a_rate_identity():
         p = float(10.0 ** rng.uniform(-2, 3))
         s2 = float(10.0 ** rng.uniform(-2, 1))
         m = int(rng.integers(1, core.num_pairs(k) + 1))
-        closed = analysis.rate_pair_gaussian(h, p, s2, m)
-        direct = 0.5 * np.log2(np.linalg.det(analysis.cov_unconditional(h, p, s2))) - 0.5 * np.log2(
-            np.linalg.det(analysis.cov_conditional(h, p, s2, m, ratio=1.0))
+        # At noise variance s2 the rate is the unit-noise one at p / s2, and
+        # each covariance is s2 times the unit-noise one.
+        closed = analysis.rate_pair_gaussian(h, p / s2, m)
+        direct = 0.5 * np.log2(np.linalg.det(s2 * analysis.cov_unconditional(h, p / s2))) - 0.5 * np.log2(
+            np.linalg.det(s2 * analysis.cov_conditional(h, p / s2, m, ratio=1.0))
         )
         denom = max(abs(closed), 1e-30)
         worst = max(worst, abs(closed - direct) / denom)
@@ -244,7 +246,7 @@ def test_criterion_04b_covariance_monte_carlo():
     y1 = hp * (s1 + s2sym) + intf + rng.normal(0, np.sqrt(s2), n)
     y2 = hp * s2sym - (1.0 + intf / (hp * s2sym)) * hp * s1 + rng.normal(0, np.sqrt(s2), n)
     emp_c = np.cov(np.stack([y1, y2]))
-    theo_c = analysis.cov_conditional(h, p, s2, 1, ratio=ratio)
+    theo_c = s2 * analysis.cov_conditional(h, p / s2, 1, ratio=ratio)
     err_c = np.abs(emp_c - theo_c).max() / np.abs(theo_c).max()
 
     # Unconditional diagonal form (exact alphabet regime: q_s = 1).
@@ -254,7 +256,7 @@ def test_criterion_04b_covariance_monte_carlo():
     y1 = hp * (sp[:, 0] + sp[:, 1]) + intf + rng.normal(0, np.sqrt(s2), n)
     y2 = hp * sp[:, 1] - (1.0 + intf / (hp * sp[:, 1])) * hp * sp[:, 0] + rng.normal(0, np.sqrt(s2), n)
     emp_u = np.cov(np.stack([y1, y2]))
-    theo_u = analysis.cov_unconditional(h, p, s2)
+    theo_u = s2 * analysis.cov_unconditional(h, p / s2)
     err_u = np.abs(emp_u - theo_u).max() / theo_u[0, 0]
 
     ok = err_c < 0.02 and err_u < 0.02
@@ -279,7 +281,7 @@ def test_criterion_05_capacity_gap():
         rng = np.random.default_rng([SEED, 5, int(zdb)])
         for _ in range(1000):
             (h,), (g,) = model.draw_channels(100, 2, 1, rng)
-            worst = min(worst, analysis.capacity_gap_margin(h, g, p, 1.0))
+            worst = min(worst, analysis.capacity_gap_margin(h, g, p))
     elapsed = time.monotonic() - t0
     ok = worst > 0 and elapsed < 60.0
     report("criterion 5 (capacity gap)", ok, f"min margin={worst:.4f} bits, runtime={elapsed:.1f}s")
@@ -511,7 +513,7 @@ def test_criterion_10a_multicast_noiseless_exact():
         _, x = multicast.multicast_precode(s)
         for u, h_i in enumerate(gains):
             h = np.full(len(s), h_i)
-            got = multicast.multicast_decode(multicast.multicast_observe(x, h, None), h, const, const)
+            got = multicast.multicast_decode(multicast.multicast_observe(x, h), h, const, const)
             pair_wrong = np.any(got[:, :2] != s[:, :2], axis=1)
             bad += int(np.sum(pair_wrong))
             if u == 2:
@@ -543,8 +545,8 @@ def test_criterion_10c_s3_slope():
 
 
 def test_criterion_11_error_bound():
-    """Monte Carlo pair error <= exp(-d_min^2 / (8 sigma2)) on every tested
-    instance at zeta >= 20 dB.
+    """Monte Carlo pair error <= exp(-d_min^2 / 8) at unit noise variance on
+    every tested instance at zeta >= 20 dB.
 
     The noise-trial count scales inversely with the bound so that each
     instance's bound is resolvable by the estimator (at least ~100 allowed
@@ -563,7 +565,7 @@ def test_criterion_11_error_bound():
             s = const.draw(rng, size=4)
             beta = 1.0 + float(g_int @ s[2:]) / (h * s[1])
             d2 = float(analysis.dmin_batch(s[None, :2], np.array([(beta - 1.0) * h * s[1]]), np.array([h]), const)[0])
-            bound = analysis.pe_upper_bound(d2, 1.0)
+            bound = analysis.pe_upper_bound(d2)
             trials = int(np.clip(100.0 / max(bound, 1e-12), 20_000, 1_000_000))
             y0 = np.array([h * (s[0] + beta * s[1]), h * (s[1] - beta * s[0])])
             errors = 0

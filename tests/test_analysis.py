@@ -10,32 +10,35 @@ from idsim import analysis, core, model
 
 class TestCapacity:
     def test_half_bit_at_unit_snr(self):
-        assert analysis.capacity_miso(np.array([1.0, 0.0]), 1.0, 1.0) == pytest.approx(0.5)
+        assert analysis.capacity_miso(np.array([1.0, 0.0]), 1.0) == pytest.approx(0.5)
 
     def test_doubling_power_adds_half_bit_at_high_snr(self):
         g = np.array([0.8, 1.3])
-        c1 = analysis.capacity_miso(g, 1e6, 1.0)
-        c2 = analysis.capacity_miso(g, 2e6, 1.0)
+        c1 = analysis.capacity_miso(g, 1e6)
+        c2 = analysis.capacity_miso(g, 2e6)
         assert c2 - c1 == pytest.approx(0.5, abs=1e-6)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            analysis.capacity_miso(np.ones(2), 0.0, 1.0)
+            analysis.capacity_miso(np.ones(2), 0.0)
 
 
 class TestPairRate:
     def test_k2_reduces_to_full_log(self):
-        """Without interferers both observations are fully informative."""
+        """Without interferers both observations are fully informative. At
+        noise variance s2 the rate is the unit-noise one at power p / s2."""
         h = np.array([0.9, -1.4])
         p, s2 = 3.0, 0.5
         expected = np.log2(1.0 + p * np.sum(h**2) / s2)
-        assert analysis.rate_pair_gaussian(h, p, s2, 1) == pytest.approx(expected, rel=1e-12)
+        assert analysis.rate_pair_gaussian(h, p / s2, 1) == pytest.approx(expected, rel=1e-12)
 
     def test_vanishing_power(self):
-        assert analysis.rate_pair_gaussian(np.ones(4), 1e-15, 1.0, 1) == pytest.approx(0.0, abs=1e-12)
+        assert analysis.rate_pair_gaussian(np.ones(4), 1e-15, 1) == pytest.approx(0.0, abs=1e-12)
 
     def test_log_det_identity(self):
-        """Closed form equals the determinant route on random instances."""
+        """Closed form equals the determinant route on random instances. At
+        noise variance s2 the rate is the unit-noise one at p / s2, and each
+        covariance is s2 times the unit-noise one."""
         rng = np.random.default_rng(101)
         for _ in range(1000):
             k = int(rng.integers(2, 9))
@@ -43,9 +46,9 @@ class TestPairRate:
             p = float(10.0 ** rng.uniform(-2, 3))
             s2 = float(10.0 ** rng.uniform(-2, 1))
             m = int(rng.integers(1, core.num_pairs(k) + 1))
-            closed = analysis.rate_pair_gaussian(h, p, s2, m)
-            det_u = np.linalg.det(analysis.cov_unconditional(h, p, s2))
-            det_c = np.linalg.det(analysis.cov_conditional(h, p, s2, m, ratio=1.0))
+            closed = analysis.rate_pair_gaussian(h, p / s2, m)
+            det_u = np.linalg.det(s2 * analysis.cov_unconditional(h, p / s2))
+            det_c = np.linalg.det(s2 * analysis.cov_conditional(h, p / s2, m, ratio=1.0))
             direct = 0.5 * np.log2(det_u) - 0.5 * np.log2(det_c)
             np.testing.assert_allclose(closed, direct, rtol=1e-10)
 
@@ -53,15 +56,15 @@ class TestPairRate:
 class TestTotalRate:
     def test_k2_is_half_pair_rate(self):
         h = np.array([1.1, 0.4])
-        pair = analysis.rate_pair_gaussian(h, 2.0, 1.0, 1)
-        assert analysis.rate_total(h, 2.0, 1.0) == pytest.approx(pair / 2.0, rel=1e-12)
+        pair = analysis.rate_pair_gaussian(h, 2.0, 1)
+        assert analysis.rate_total(h, 2.0) == pytest.approx(pair / 2.0, rel=1e-12)
 
     def test_large_k_approaches_pair_rate(self):
         """With many equal pairs the per-use rate approaches the pair rate."""
         rng = np.random.default_rng(3)
         (h,), _ = model.draw_channels(200, 2, 1, rng)
-        r_tot = analysis.rate_total(h, 1.0, 1.0)
-        r_pairs = [analysis.rate_pair_gaussian(h, 1.0, 1.0, m) for m in range(1, 101)]
+        r_tot = analysis.rate_total(h, 1.0)
+        r_pairs = [analysis.rate_pair_gaussian(h, 1.0, m) for m in range(1, 101)]
         assert r_tot == pytest.approx(np.mean(r_pairs) * 100 / 101, rel=1e-12)
 
 
@@ -69,26 +72,26 @@ class TestCapacityGap:
     def test_margin_positive_large_k(self):
         rng = np.random.default_rng(5)
         for zdb in (0.0, 30.0):
-            margin = analysis.capacity_gap_margin(*model.draw_channels(100, 2, 1, rng), 10.0 ** (zdb / 10.0), 1.0)
+            margin = analysis.capacity_gap_margin(*model.draw_channels(100, 2, 1, rng), 10.0 ** (zdb / 10.0))
             assert margin > 0
 
     def test_low_power_margin_approaches_one(self):
         rng = np.random.default_rng(7)
-        margin = analysis.capacity_gap_margin(*model.draw_channels(100, 2, 1, rng), 1e-12, 1.0)
+        margin = analysis.capacity_gap_margin(*model.draw_channels(100, 2, 1, rng), 1e-12)
         assert margin == pytest.approx(1.0, abs=1e-3)
 
     def test_small_k_reported_not_asserted(self):
         """The bound needs large K; at K=4 the margin is only reported."""
         rng = np.random.default_rng(9)
-        margin = analysis.capacity_gap_margin(*model.draw_channels(4, 2, 1, rng), 10.0, 1.0)
+        margin = analysis.capacity_gap_margin(*model.draw_channels(4, 2, 1, rng), 10.0)
         assert np.isfinite(margin)
 
     def test_batch_rows_match_single_channels(self):
         """A (count, K) batch gives each row the margin of that channel alone."""
         h, g = model.draw_channels(100, 2, 50, np.random.default_rng(13))
-        batch = analysis.capacity_gap_margin(h, g, 10.0, 1.0)
+        batch = analysis.capacity_gap_margin(h, g, 10.0)
         assert batch.shape == (50,)
-        single = [analysis.capacity_gap_margin(h[i], g[i], 10.0, 1.0) for i in range(50)]
+        single = [analysis.capacity_gap_margin(h[i], g[i], 10.0) for i in range(50)]
         np.testing.assert_allclose(batch, single, rtol=1e-13)
 
 
@@ -98,10 +101,10 @@ class TestRateReport:
         capacity above the antenna-gain one under the shared mapping."""
         rng = np.random.default_rng(11)
         (h,), (g,) = model.draw_channels(8, 2, 1, rng)
-        r_pair = [analysis.rate_pair_gaussian(h, 2.0, 1.0, m) for m in range(1, core.num_pairs(8) + 1)]
+        r_pair = [analysis.rate_pair_gaussian(h, 2.0, m) for m in range(1, core.num_pairs(8) + 1)]
         assert len(r_pair) == 4
-        assert analysis.rate_total(h, 2.0, 1.0) == pytest.approx(np.sum(r_pair) / 5.0, rel=1e-12)
-        assert analysis.capacity_miso(h, 4.0, 1.0) > analysis.capacity_miso(g, 4.0, 1.0)
+        assert analysis.rate_total(h, 2.0) == pytest.approx(np.sum(r_pair) / 5.0, rel=1e-12)
+        assert analysis.capacity_miso(h, 4.0) > analysis.capacity_miso(g, 4.0)
 
 
 class TestFanoBound:
@@ -125,16 +128,17 @@ class TestFanoBound:
 
 class TestPeUpperBound:
     def test_zero_distance(self):
-        assert analysis.pe_upper_bound(0.0, 1.0) == 1.0
+        assert analysis.pe_upper_bound(0.0) == 1.0
 
     def test_inversion(self):
+        """At noise variance s2 the bound is the unit-noise one at d2 / s2."""
         s2 = 0.7
         d2 = 8.0 * s2 * np.log(100.0)
-        assert analysis.pe_upper_bound(d2, s2) == pytest.approx(0.01, rel=1e-12)
+        assert analysis.pe_upper_bound(d2 / s2) == pytest.approx(0.01, rel=1e-12)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            analysis.pe_upper_bound(-1.0, 1.0)
+            analysis.pe_upper_bound(-1.0)
 
 
 class TestDminExhaustive:
@@ -250,6 +254,15 @@ class TestDofSlope:
         with pytest.raises(ValueError, match="0 dB"):
             analysis.dof_slope(p_grid, 0.1, trials=10, rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("p_grid", [[1e6, 1e5, 1e4, 1e3, 1e2], [1e2, 1e2], [1e2, 1e4, 1e3]])
+    def test_rejects_a_grid_that_does_not_strictly_increase(self, p_grid):
+        """The slope is fitted over the last grid points, which must be the top
+        ones; the grid is rejected before any draw."""
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            analysis.dof_slope(p_grid, 0.1, trials=10, rng=rng)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
     def test_growth_slope_regression(self):
         pts = [
             analysis.DofPoint(p=10.0**d, q_s=2, pe=0.0, fano_bound=0.45 * 0.5 * np.log2(10.0**d))
@@ -275,7 +288,7 @@ class TestCovarianceForms:
         beta = 1.0 + intf / (hp * s2sym)
         y2 = hp * s2sym - beta * hp * s1 + rng.normal(0, np.sqrt(s2), n)
         emp = np.cov(np.stack([y1, y2]))
-        theo = analysis.cov_conditional(h, p, s2, 1, ratio=ratio)
+        theo = s2 * analysis.cov_conditional(h, p / s2, 1, ratio=ratio)
         np.testing.assert_allclose(emp, theo, rtol=0.02, atol=0.02 * np.abs(theo).max())
 
     def test_unconditional_exact_at_unit_half_size(self):
@@ -295,5 +308,5 @@ class TestCovarianceForms:
         beta = 1.0 + intf / (hp * sp[:, 1])
         y2 = hp * sp[:, 1] - beta * hp * sp[:, 0] + rng.normal(0, np.sqrt(s2), n)
         emp = np.cov(np.stack([y1, y2]))
-        theo = analysis.cov_unconditional(h, p, s2)
+        theo = s2 * analysis.cov_unconditional(h, p / s2)
         np.testing.assert_allclose(emp, theo, rtol=0.02, atol=0.02 * theo[0, 0])

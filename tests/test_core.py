@@ -278,14 +278,14 @@ def _direct_weight(y, h_pair, cands):
     return np.abs(np.sum(d * v, axis=-1)) / np.sqrt(np.sum(v * v, axis=-1))
 
 
-def _direct_ml(y, h_pair, cands, interference_power, sigma2):
+def _direct_ml(y, h_pair, cands, interference_power):
     v = h_pair[..., None, :] * cands
     d = y[..., None, :] - v
     vperp = np.stack([v[..., 1], -v[..., 0]], axis=-1)
     eta2 = interference_power[..., None] / (h_pair[..., None, 1] * cands[:, 1]) ** 2
     d_sq = np.sum(d * d, axis=-1)
     proj = np.sum(d * vperp, axis=-1)
-    denom = sigma2 + eta2 * np.sum(v * v, axis=-1)
+    denom = 1.0 + eta2 * np.sum(v * v, axis=-1)
     return d_sq - np.divide(eta2 * proj**2, denom, out=np.zeros_like(d_sq), where=denom > 0)
 
 
@@ -330,7 +330,7 @@ class TestMatrixProductKernels:
         cases = [
             (core.weight_matrix(y, h_pair, cands), _direct_weight(y, h_pair, cands),
              (y_sq + v_sq) / np.sqrt(v_sq)),
-            (core.ml_metric_matrix(y, h_pair, cands, ipow, 1.0), _direct_ml(y, h_pair, cands, ipow, 1.0),
+            (core.ml_metric_matrix(y, h_pair, cands, ipow), _direct_ml(y, h_pair, cands, ipow),
              y_sq + v_sq),
         ]
         for fast, direct, scale in cases:
@@ -353,7 +353,7 @@ class TestArgminMetric:
         ipow = p * np.sum(h[:, 2:] ** 2, axis=1)
         for metric, args in [
             (core.weight_matrix, ()),
-            (core.ml_metric_matrix, (ipow, 1.0)),
+            (core.ml_metric_matrix, (ipow,)),
         ]:
             np.testing.assert_array_equal(
                 core.argmin_metric(metric, y, h_pair, cands, *args),
@@ -379,7 +379,7 @@ class TestArgminMetric:
         rows = max(1, min(n, core.BLOCK_ROWS, block_values // half))
         for metric, args in [
             (core.weight_matrix, ()),
-            (core.ml_metric_matrix, (ipow, 1.0)),
+            (core.ml_metric_matrix, (ipow,)),
         ]:
             outs = []
 
@@ -415,7 +415,7 @@ class TestArgminMetric:
         ipow = p * np.sum(h[:, 2:] ** 2, axis=1)
         for metric, args in [
             (core.weight_matrix, ()),
-            (core.ml_metric_matrix, (ipow, 1.0)),
+            (core.ml_metric_matrix, (ipow,)),
         ]:
             full = metric(y, h_pair, cands, *args)
             back, front = full[:, half:], full[:, half - 1 :: -1]
@@ -435,25 +435,26 @@ class TestArgminMetric:
 def test_pair_decode_is_the_unfolded_argmin(seed, q_s, k, snr_db):
     """The folded decoder picks the row-wise argmin of the unfolded metric over
     all C candidates, for the weight and full-covariance rules; at K = 2 the
-    ml decisions are the argmin of the direct known-beta metric."""
+    ml decisions are the argmin of the direct known-beta metric. The
+    likelihood's interferers have the alphabet's power."""
     rng = RNG(seed)
-    p, sigma2, n = 10.0 ** (snr_db / 10.0), 1.0, 64
+    p, n = 10.0 ** (snr_db / 10.0), 64
     const = model.constellation_for_power(p, q_s)
     cands = core.candidate_pairs(const)
     h, _ = model.draw_channels(k, k, n, rng)
     _, y = core.frame_observe(h, const.draw(rng, size=(n, k)))
-    y += rng.normal(0.0, np.sqrt(sigma2), size=y.shape)
+    y += rng.normal(0.0, 1.0, size=y.shape)
     for m in range(1, core.num_pairs(k) + 1):
         y_m, h_pair = y[:, [0, m]], h[:, list(core.pair_members(k, m))]
-        ipow = p * core.out_of_pair_sum(h**2, m)
+        ipow = const.power * core.out_of_pair_sum(h**2, m)
         ml = (
             _direct_known_beta(y_m, h_pair, cands, 1.0)
             if k == 2
-            else core.ml_metric_matrix(y_m, h_pair, cands, ipow, sigma2)
+            else core.ml_metric_matrix(y_m, h_pair, cands, ipow)
         )
         for decoder, full in [(core.WEIGHT, core.weight_matrix(y_m, h_pair, cands)), (core.ML, ml)]:
             np.testing.assert_array_equal(
-                core.pair_decode(y_m, h, m, const, decoder, p, sigma2), cands[np.argmin(full, axis=1)]
+                core.pair_decode(y_m, h, m, const, decoder), cands[np.argmin(full, axis=1)]
             )
 
 
@@ -479,7 +480,7 @@ def test_k2_ml_slicers_are_the_known_beta_argmin(seed, q_s, snr_db):
     scale = np.sum(y * y, axis=1) + 2.0 * np.max(np.sum((h[:, None, :] * cands) ** 2, axis=-1), axis=1)
     clear = second - best > 1e-9 * scale
     assert np.mean(clear) > 0.9
-    hat = core.pair_decode(y, h, 1, const, core.ML, p, 1.0)
+    hat = core.pair_decode(y, h, 1, const, core.ML)
     np.testing.assert_array_equal(hat[clear], cands[np.argmin(d2[clear], axis=1)])
 
 
@@ -521,12 +522,13 @@ class TestDecodePair:
 class TestMlDecodePair:
     def test_metric_value_true_pair_two_ways(self):
         """Noiseless metric at the true pair equals s2 (b vperp)^T C^-1 (b vperp),
-        via explicit inverse and via a linear solve, to 1e-10."""
+        via explicit inverse and via a linear solve, to 1e-10. At noise
+        variance s2 that is the unit-noise metric at power p / s2."""
         p, sigma2 = 2.0, 0.3
         const, h, s = random_frames(31, 4, 25, p=p)
         cands = core.candidate_pairs(const)
         beta, y = core.frame_observe(h, s)
-        vals = core.ml_metric_matrix(y[:, :2], h[:, :2], cands, p * np.sum(h[:, 2:] ** 2, axis=1), sigma2)
+        vals = core.ml_metric_matrix(y[:, :2], h[:, :2], cands, p / sigma2 * np.sum(h[:, 2:] ** 2, axis=1))
         for i in range(len(h)):
             idx = int(np.where((cands[:, 0] == s[i, 0]) & (cands[:, 1] == s[i, 1]))[0][0])
             v = h[i, :2] * s[i, :2]
@@ -548,29 +550,32 @@ class TestMlDecodePair:
         cands = core.candidate_pairs(const)
         _, y = core.frame_observe(h, s)
         y += RNG(37, 1).normal(0.0, np.sqrt(sigma2), size=y.shape)
-        vals = core.ml_metric_matrix(y, h, cands, p * core.out_of_pair_sum(h**2, 1), sigma2)[0]
+        vals = core.ml_metric_matrix(y, h, cands, p / sigma2 * core.out_of_pair_sum(h**2, 1))[0]
         v = h * cands
         np.testing.assert_allclose(vals, np.sum((y - v) ** 2, axis=1), rtol=1e-12)
 
     def test_zero_denominator_gives_no_correction(self):
-        """With no interferers and no noise the covariance is zero; the
-        correction is then 0, not 0/0, and the metric is ||y - v||^2."""
+        """With no interferers and h_b = 0 the denominator
+        (h_b c_b)^2 + I ||v||^2 is zero; the correction is then 0, not 0/0,
+        and the metric is ||y - v||^2."""
         rng = RNG(39)
         const = model.constellation_for_power(1.0, 2)
         cands = core.candidate_pairs(const)
         y, h_pair = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
-        vals = core.ml_metric_matrix(y, h_pair, cands, np.zeros(5), 0.0)
+        h_pair[:, 1] = 0.0
+        vals = core.ml_metric_matrix(y, h_pair, cands, np.zeros(5))
         direct = np.sum((y[:, None, :] - h_pair[:, None, :] * cands) ** 2, axis=-1)
         np.testing.assert_allclose(vals, direct, rtol=1e-12)
 
     def test_low_noise_agrees_with_weight_decoder(self):
-        """As sigma2 -> 0 the likelihood metric orders like the weight."""
+        """As sigma2 -> 0 the likelihood metric orders like the weight. At
+        unit noise that is the alphabet at power p / sigma2."""
         p, sigma2 = 1.0, 1e-12
-        const, h, s = random_frames(41, 4, 100, p=p)
+        const, h, s = random_frames(41, 4, 100, p=p / sigma2)
         _, y = core.frame_observe(h, s)
-        y = y[:, :2] + RNG(41, 1).normal(0.0, np.sqrt(sigma2), size=(100, 2))
+        y = y[:, :2] + RNG(41, 1).normal(0.0, 1.0, size=(100, 2))
         w_hat = core.pair_decode(y, h, 1, const)
-        ml_hat = core.pair_decode(y, h, 1, const, core.ML, p, sigma2)
+        ml_hat = core.pair_decode(y, h, 1, const, core.ML)
         np.testing.assert_array_equal(w_hat, ml_hat)
 
     def test_eta2_matches_dissolution_factor_variance(self):
@@ -593,7 +598,7 @@ class TestMlDecodePair:
         cands = core.candidate_pairs(const)
         _, y = core.frame_observe(h, s)
         y += RNG(47, 1).normal(0.0, np.sqrt(0.5), size=y.shape)
-        hat = core.pair_decode(y, h, 1, const, core.ML, 1.0, 0.5)
+        hat = core.pair_decode(y, h, 1, const, core.ML)
         v = h[:, None, :] * cands
         z = np.stack([v[..., 0] + v[..., 1], v[..., 1] - v[..., 0]], axis=-1)
         best = cands[np.argmin(np.sum((y[:, None, :] - z) ** 2, axis=-1), axis=1)]
@@ -603,7 +608,7 @@ class TestMlDecodePair:
     def test_known_beta_noiseless_exact(self):
         const, h, s = random_frames(53, 2, 50)
         _, y = core.frame_observe(h, s)
-        np.testing.assert_array_equal(core.pair_decode(y, h, 1, const, core.ML, 1.0, 1.0), s)
+        np.testing.assert_array_equal(core.pair_decode(y, h, 1, const, core.ML), s)
 
 
 class TestFrame:
@@ -645,16 +650,13 @@ class TestFrame:
         np.testing.assert_array_equal(s_hat[:, 4], last[:, 0])
 
     def test_ml_frame_decoding(self):
-        const, h, s = random_frames(71, 4, 10)
+        """Noiseless frames at noise variance 1e-9, which at unit noise is
+        the alphabet at power p / sigma2."""
+        p, sigma2 = 1.0, 1e-9
+        const, h, s = random_frames(71, 4, 10, p=p / sigma2)
         _, y = core.frame_observe(h, s)
-        s_hat = core.frame_decode(y, h, const, core.ML, p=1.0, sigma2=1e-9)
+        s_hat = core.frame_decode(y, h, const, core.ML)
         np.testing.assert_array_equal(s_hat, s)
-
-    def test_ml_frame_requires_parameters(self):
-        const, h, s = random_frames(73, 4, 1)
-        _, y = core.frame_observe(h, s)
-        with pytest.raises(ValueError):
-            core.frame_decode(y, h, const, core.ML)
 
     def test_unknown_decoder_rejected(self):
         const, h, s = random_frames(73, 4, 1)

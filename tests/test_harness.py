@@ -100,7 +100,7 @@ class TestSerSweep:
         for chunk_idx in reversed(range(len(sizes))):
             rng = harness._rng(cfg, 0, chunk_idx)
             h, _, s, _, y = harness._id_frame_batch(cfg, const, sizes[chunk_idx], rng)
-            hat = harness._id_decode_batch(cfg, const, h, y, p)
+            hat = harness._id_decode_batch(cfg, const, h, y)
             errors += int(np.sum(hat[:, 0] != s[:, 0]) + np.sum(hat[:, 1] != s[:, 1]))
         assert errors / (2 * cfg.trials) == pytest.approx(row.ser, rel=1e-12)
 
@@ -283,6 +283,39 @@ def test_csv_independent_of_worker_count_over_configs(kw, trials, seed):
     assert texts[0] == texts[1] == texts[2]
 
 
+@pytest.mark.parametrize("experiment", list(harness._RUNNERS))
+def test_stream_keys_differ_beyond_trailing_zeros(experiment, monkeypatch):
+    """numpy's SeedSequence ignores trailing zeros, so two ``_rng`` paths that
+    differ only in them are one stream. Every path a runner draws from, over
+    three grid points or half-sizes of three chunks each, stays distinct
+    once its trailing zeros are stripped."""
+    paths = []
+    keyed = harness._rng
+
+    def recording(cfg, *path):
+        paths.append(path)
+        return keyed(cfg, *path)
+
+    monkeypatch.setattr(harness, "_rng", recording)
+    monkeypatch.setattr(harness, "CHUNK", _SMALL_CHUNK)
+    monkeypatch.setattr(harness, "usable_cores", lambda: 1)
+    cfg = small_cfg(experiment=experiment, k=4, q_s=8, zeta_db_grid=[20.0, 30.0, 40.0], trials=3 * _SMALL_CHUNK)
+    harness.run_experiment(cfg)
+
+    def strip(path):
+        path = list(path)
+        while path and path[-1] == 0:
+            path.pop()
+        return tuple(path)
+
+    assert paths
+    assert len({strip(path) for path in paths}) == len(paths), paths
+    # The hazard itself: a trailing zero does not change the stream.
+    same = [np.random.default_rng([cfg.seed, 0, *key]).random(3) for key in ([], [0], [0, 0])]
+    np.testing.assert_array_equal(same[0], same[1])
+    np.testing.assert_array_equal(same[0], same[2])
+
+
 class TestRateSweep:
     def test_floor_matches_capacity_algebra(self):
         """normalized = 1 - 1/C reproduces exactly from the bound column C - 1."""
@@ -338,8 +371,8 @@ class TestRateSweep:
         rates, capacities = [], []
         for c, n in enumerate(core.chunk_sizes(cfg.trials, harness.CHUNK)):
             h, g, *_ = harness._id_frame_batch(cfg, const, n, harness._rng(cfg, 0, c))
-            rates.append(analysis.rate_total(h, p, 1.0))
-            capacities.append(analysis.capacity_miso(g, 2.0 * p, 1.0))
+            rates.append(analysis.rate_total(h, p))
+            capacities.append(analysis.capacity_miso(g, 2.0 * p))
         rate, capacity = np.mean(np.concatenate(rates)), np.mean(np.concatenate(capacities))
         assert row.rate_bits_per_use == pytest.approx(rate, rel=1e-12)
         assert row.normalized_rate == pytest.approx(rate / capacity, rel=1e-12)
@@ -377,7 +410,7 @@ class TestDminAndDofSweeps:
         s = const.draw(rng, size=(cfg.trials, 3))
         _, x = multicast.multicast_precode(s)
         for u in range(3):
-            y = multicast.multicast_observe(x, gains[:, u], 1.0, rng)
+            y = multicast.multicast_observe(x, gains[:, u], rng)
             s_hat = multicast.multicast_decode(y, gains[:, u], const, const)
             assert rows[u].ser == pytest.approx(np.mean(s_hat[:, u] != s[:, u]), rel=1e-12)
 
@@ -665,6 +698,14 @@ _INVALID_FLAGS = st.one_of(
     ),
     st.tuples(st.just("dof"), st.just("--snr-db"), st.floats(-100.0, 0.0), st.just(1)),
     st.tuples(
+        st.just("dof"),
+        st.just("--snr-db"),
+        st.lists(st.floats(1.0, 80.0), min_size=2, max_size=5)
+        .filter(lambda grid: not all(b > a for a, b in zip(grid, grid[1:])))
+        .map(lambda grid: ",".join(map(repr, grid))),
+        st.just(1),
+    ),
+    st.tuples(
         st.sampled_from(_ALL),
         st.sampled_from(["--trials", "--seed"]),
         st.sampled_from(["", "1.5", "two", "1e3", "0x10"]),
@@ -678,6 +719,8 @@ _INVALID_FLAGS = st.one_of(
 @example(("multicast", "--qs", 91, 1))
 @example(("dmin", "--qs", 128, 1))
 @example(("ser", "--qs", 10**399, 1))
+@example(("dof", "--snr-db", "60,50,40,30,20", 1))
+@example(("dof", "--snr-db", "20,20", 1))
 def test_invalid_flag_value_exits_nonzero(case):
     """Any invalid value exits 1 (or 2 from argparse) before a channel is
     drawn or a worker forked, and writes no CSV."""

@@ -1,11 +1,14 @@
 """Tests for constellations, channel draws, noise, and power accounting."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idsim import harness, model, multicast
+import idsim
+from idsim import core, harness, model, multicast
 
 SEED_MOMENTS = 2001
 SEED_REPRO = 77
@@ -167,26 +170,33 @@ class TestNoise:
     """The AWGN the multicast sweep adds, one draw per observation."""
 
     @staticmethod
-    def noise(sigma2, seed, n):
+    def noise(seed, n):
         x = np.zeros((n, 2))
-        return multicast.multicast_observe(x, np.ones(n), sigma2, np.random.default_rng(seed)).ravel()
+        return multicast.multicast_observe(x, np.ones(n), np.random.default_rng(seed)).ravel()
 
     def test_unit_variance(self):
-        x = self.noise(1.0, SEED_MOMENTS, 500_000)
+        x = self.noise(SEED_MOMENTS, 500_000)
         assert np.var(x) == pytest.approx(1.0, abs=0.01)
         assert np.mean(x) == pytest.approx(0.0, abs=0.01)
 
-    def test_scaled_std(self):
-        x = self.noise(4.0, SEED_MOMENTS, 500_000)
-        assert np.std(x) == pytest.approx(2.0, abs=0.02)
-
     def test_reproducible(self):
-        np.testing.assert_array_equal(self.noise(1.0, 5, 4), self.noise(1.0, 5, 4))
+        np.testing.assert_array_equal(self.noise(5, 4), self.noise(5, 4))
 
     def test_invalid_variance(self):
         """The sweeps' noise variance is fixed at one: no config sets it."""
         with pytest.raises(TypeError):
             harness.ExperimentConfig("ser", sigma2=-1.0)
+
+    def test_no_function_takes_a_noise_variance(self):
+        """Noise variance is one everywhere: no public callable, nor the
+        likelihood kernel, takes it, and the decoders take no power either;
+        the likelihood reads the interferers' power off the alphabet."""
+        funcs = [getattr(idsim, name) for name in idsim.__all__ if callable(getattr(idsim, name))]
+        funcs.append(core.ml_metric_matrix)
+        params = {f.__qualname__: inspect.signature(f).parameters for f in funcs}
+        assert "pair_decode" in params and "frame_decode" in params
+        assert [name for name, ps in params.items() if "sigma2" in ps] == []
+        assert "p" not in params["pair_decode"] and "p" not in params["frame_decode"]
 
 
 class TestPowerBudget:

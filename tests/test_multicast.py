@@ -51,15 +51,18 @@ class TestReceiveDecode:
         _, x = multicast.multicast_precode(s)
         for h_i in gains:
             h = np.full(len(s), h_i)
-            got = multicast.multicast_decode(multicast.multicast_observe(x, h, None), h, const, const)
+            got = multicast.multicast_decode(multicast.multicast_observe(x, h), h, const, const)
             np.testing.assert_array_equal(got[:, :2], s[:, :2])
 
     def test_totality_under_heavy_noise(self):
+        """Noise of variance sigma2: sqrt(sigma2) times the unit-noise
+        observation at gain h / sqrt(sigma2)."""
         rng = np.random.default_rng(5)
         const = model.constellation_for_power(1.0, 2)
         _, x = multicast.multicast_precode(np.tile([1.0, 1.0, const.points[0]], (20, 1)))
-        h = np.full(20, 0.8)
-        got = multicast.multicast_decode(multicast.multicast_observe(x, h, 1e6, rng), h, const, const)
+        h, sigma2 = np.full(20, 0.8), 1e6
+        y = np.sqrt(sigma2) * multicast.multicast_observe(x, h / np.sqrt(sigma2), rng)
+        got = multicast.multicast_decode(y, h, const, const)
         assert np.isin(got[:, :2], const.points).all()
 
 
@@ -71,7 +74,7 @@ class TestDecodeS3:
         size = len(const.points)
         s = np.column_stack([np.ones(size), -np.ones(size), const.points])
         h3 = model._signed_rayleigh(rng, size)
-        y = multicast.multicast_observe(multicast.multicast_precode(s)[1], h3, None)
+        y = multicast.multicast_observe(multicast.multicast_precode(s)[1], h3)
         got = multicast.multicast_decode_s3(y[:, 0], h3, 1.0, -1.0, const)
         np.testing.assert_array_equal(got, const.points)
 
@@ -79,19 +82,22 @@ class TestDecodeS3:
         """An off-by-one pair decision shifts the residual into a wrong s3."""
         const = model.PamConstellation(1.0, 2)
         _, x = multicast.multicast_precode(np.array([2.0, 1.0, 1.0]))
-        y = multicast.multicast_observe(x, 1.0, None)
+        y = multicast.multicast_observe(x, 1.0)
         right = multicast.multicast_decode_s3(y[0], 1.0, 2.0, 1.0, const)
         wrong = multicast.multicast_decode_s3(y[0], 1.0, 1.0, 1.0, const)
         assert right == 1.0
         assert wrong != 1.0
 
     def test_residual_noise_scale(self):
-        """Residual after a correct pair is alpha h3 s3 + AWGN(sigma2)."""
+        """Residual after a correct pair is alpha h3 s3 + AWGN(sigma2). At noise
+        variance sigma2 the observation is sqrt(sigma2) times the unit-noise
+        one at gain h3 / sqrt(sigma2)."""
         rng = np.random.default_rng(9)
         const = model.constellation_for_power(1.0, 2)
         h3, sigma2, n = 1.3, 0.25, 20_000
         _, x = multicast.multicast_precode(np.array([1.0, 1.0, 2.0 * const.a_s]))
-        y = multicast.multicast_observe(np.tile(x, (n, 1)), np.full(n, h3), sigma2, rng)
+        gain = np.full(n, h3 / np.sqrt(sigma2))
+        y = np.sqrt(sigma2) * multicast.multicast_observe(np.tile(x, (n, 1)), gain, rng)
         resid = y[:, 0] - h3 * (1.0 + 1.0)
         assert np.mean(resid) == pytest.approx(ALPHA * h3 * 2.0 * const.a_s, rel=0.02)
         assert np.var(resid) == pytest.approx(sigma2, rel=0.05)
