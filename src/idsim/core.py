@@ -146,12 +146,27 @@ def weight_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, out=None
     written into it and |A| scored in its place, so each value is the
     smaller weight of cand and -cand (``argmin_metric``).
 
+    h_pair of shape (..., 1) is the one-gain form: both symbols ride the
+    gain h, and the values are the weights divided by |h|,
+    |<y / h, c / ||c||> - ||c|||, which is one product against the unit
+    candidates and no energy product, square root or division per
+    candidate. Dividing a row by |h| keeps its argmin, and the product's
+    sign is A's, so ``fold`` holds it in A's place; only ``out``'s first
+    buffer is used. The rounding differs from the two-gain form's, so
+    values near zero, such as ``analysis.dmin_batch``'s floors, move in
+    their last digits; that prober keeps the two-gain form.
+
     The weight rule is a GLRT: ML with beta an unknown real parameter.
     {v, v_perp} / ||v|| is an orthonormal basis of R^2, so
     ||y - v - beta v_perp||^2 = <y - v, v>^2 / ||v||^2 + (<y - v, v_perp> / ||v|| - beta ||v||)^2,
     and weight^2 = min over beta of ||y - v - beta v_perp||^2.
     """
     w, energy = out[:2] if out is not None else (None, None)
+    if h_pair.shape[-1] == 1:
+        norms = np.hypot(cands[:, 0], cands[:, 1])
+        w = _odd_part(y / h_pair, cands / norms[:, None], w, fold)
+        w -= norms
+        return np.abs(w, out=w)
     w = _odd_part(y * h_pair, cands, w, fold)
     energy = np.matmul(h_pair * h_pair, (cands * cands).T, out=energy)
     w -= energy
@@ -270,6 +285,10 @@ def pair_decode(y, h, m, const, decoder=WEIGHT) -> np.ndarray:
     alphabet ``const``.
 
     ``WEIGHT`` takes the weight argmin over ``candidate_pairs(const)``.
+    Where the pair's two gain columns are equal, as for the ``dof``
+    prober, the multicast receivers and pair 1 at K >= 4 under the block
+    antenna map, it scores ``weight_matrix``'s one-gain form, each row the
+    weights divided by |h|, which keeps every row's argmin.
     ``ML`` at K > 2 takes the argmin of the full-covariance likelihood,
     which models the interferers as zero-mean with the alphabet's power
     ``const.power`` each, since they are drawn from it. A tie within an
@@ -285,8 +304,11 @@ def pair_decode(y, h, m, const, decoder=WEIGHT) -> np.ndarray:
     """
     k = h.shape[-1]
     a, b = pair_members(k, m)
-    # A view for the pairs of adjacent symbols; only odd K's last pair copies.
-    h_pair = h[:, a : b + 1] if b == a + 1 else h[:, [a, b]]
+    if decoder == WEIGHT and np.array_equal(h[:, a], h[:, b]):
+        h_pair = h[:, a : a + 1]
+    else:
+        # A view for the pairs of adjacent symbols; only odd K's last pair copies.
+        h_pair = h[:, a : b + 1] if b == a + 1 else h[:, [a, b]]
     metric, args = weight_matrix, ()
     if decoder == ML:
         if k == 2:

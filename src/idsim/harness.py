@@ -6,8 +6,9 @@ streams are what make parallel runs safe: no chunk's draws depend on
 another's, so ``ser``, ``rate`` and ``multicast`` run their chunks on one
 forked process per usable core (the CPU affinity, so ``taskset`` limits
 them) and add the partial results up in chunk order, and the CSV is
-byte-identical for every number of processes. ``dmin`` and
-``dof`` draw from one sequential stream and run in this process. Every
+byte-identical for every number of processes. ``dmin`` runs one task
+per half-size the same way, each on its own stream. Only ``dof`` draws
+from one sequential stream and runs in this process. Every
 sweep builds all its grid points (power, alphabet) before its first draw
 or fork, so a grid that cannot run fails before any work.
 Noise variance is fixed at one; the SNR axis is zeta = P / sigma^2, so the
@@ -391,14 +392,16 @@ def run_dmin_probe(cfg: ExperimentConfig) -> list[SweepRow]:
     while q <= max(2, cfg.q_s):
         points.append(_alphabet(1.0, q))
         q *= 2
-    rows: list[SweepRow] = []
-    for qi, const in enumerate(points):
+
+    def run(qi, const):
         rep = analysis.dmin_probe(const, cfg.trials, _rng(cfg, qi), k=cfg.k)
-        rows.append(
-            SweepRow(cfg.experiment, f"qs={const.q_s}", None, cfg.trials,
-                     bound_value=rep.floor, normalized_rate=rep.median)
-        )
-    return rows
+        return rep.floor, rep.median
+
+    results = _map_chunks(run, list(enumerate(points)), usable_cores())
+    return [
+        SweepRow(cfg.experiment, f"qs={const.q_s}", None, cfg.trials, bound_value=floor, normalized_rate=median)
+        for const, (floor, median) in zip(points, results)
+    ]
 
 
 def run_dof_sweep(cfg: ExperimentConfig) -> list[SweepRow]:

@@ -77,10 +77,14 @@ def s3_rate_slope(p_grid, epsilon: float, trials: int, rng: np.random.Generator)
     at one (the degrees-of-freedom claim is per realization), and the noise
     variance is one. Decoding is end to end, pair first and then the
     residual, so error propagation is included. Frames are drawn S3_CHUNK
-    at a time.
+    at a time. Every power must exceed 1 (0 dB), where (1/2) log2 P, the
+    slope's divisor, is positive; the grid is checked before the first draw.
     """
+    p_grid = np.asarray(p_grid, dtype=float)
+    if not np.all(p_grid > 1.0):
+        raise ValueError("the s3 rate slope needs every power above 0 dB: (1/2) log2 P must be positive")
     out = []
-    for p in np.asarray(p_grid, dtype=float):
+    for p in p_grid:
         q3 = max(1, int(round(p ** ((1.0 - epsilon) / 2.0))))
         pair_const = constellation_for_power(p, 2)
         s3_const = constellation_for_power(p, q3)

@@ -458,6 +458,125 @@ def test_pair_decode_is_the_unfolded_argmin(seed, q_s, k, snr_db):
             )
 
 
+def _record_gain_columns(monkeypatch) -> list:
+    """Wrap ``core.weight_matrix`` to record the gain columns of every call."""
+    seen = []
+    weight = core.weight_matrix
+
+    def recording(y, h_pair, cands, **kwargs):
+        seen.append(h_pair.shape[-1])
+        return weight(y, h_pair, cands, **kwargs)
+
+    monkeypatch.setattr(core, "weight_matrix", recording)
+    return seen
+
+
+class TestOneGainWeight:
+    """h_pair of shape (n, 1): both symbols ride the gain h, and the kernel
+    scores the weights divided by |h|, with the sign of the two-gain odd
+    part in ``fold``."""
+
+    @pytest.mark.parametrize("q_s", [1, 8, 32])
+    def test_is_the_two_gain_weight_over_abs_h(self, q_s):
+        """Unfolded, and folded with and without ``out``: values agree to
+        rtol 1e-9 (plus 32 eps of the scale ||y|| / |h| + ||c|| where a value
+        nears zero), and the fold signs are equal."""
+        rng = RNG(47, q_s)
+        p, n = 100.0, 300
+        const = model.constellation_for_power(p, q_s)
+        cands = core.candidate_pairs(const)
+        half = len(cands) // 2
+        h = model._signed_rayleigh(rng, n)
+        assert np.any(h < 0) and np.any(h > 0)
+        h_two = np.stack([h, h], axis=-1)
+        _, y = core.dissolve(h_two, const.draw(rng, size=(n, 2)), rng.normal(scale=np.sqrt(p), size=n))
+        y += rng.normal(size=(n, 2))
+        abs_h = np.abs(h)[:, None]
+
+        def assert_scaled(one, two, c):
+            scale = np.linalg.norm(y, axis=1)[:, None] / abs_h + np.hypot(c[:, 0], c[:, 1])
+            assert np.all(np.abs(one - two / abs_h) <= 1e-9 * np.abs(two / abs_h) + 32 * np.finfo(float).eps * scale)
+
+        assert_scaled(core.weight_matrix(y, h[:, None], cands), core.weight_matrix(y, h_two, cands), cands)
+        back = cands[half:]
+        for with_out in (False, True):
+            folds = [np.empty((n, half)) for _ in range(2)]
+            res = []
+            for h_pair, fold in zip((h[:, None], h_two), folds):
+                out = [np.empty((n, half)) for _ in range(2)] if with_out else None
+                res.append(core.weight_matrix(y, h_pair, back, out=out, fold=fold))
+                if with_out:
+                    assert res[-1] is out[0]
+            assert_scaled(*res, back)
+            np.testing.assert_array_equal(np.sign(folds[0]), np.sign(folds[1]))
+
+    @pytest.mark.parametrize(
+        "experiment,kw,widths",
+        [
+            ("multicast", {}, {1}),
+            ("dof", {"k": 4}, {1}),
+            ("ser", {"k": 4}, {1}),
+            ("ser", {"k": 2}, {2}),
+            ("ser", {"k": 4, "decoder": core.ML}, set()),
+        ],
+    )
+    def test_taken_by_the_sweeps_whose_pair_shares_a_gain(self, experiment, kw, widths, monkeypatch):
+        """The multicast receivers, the dof prober and ``ser`` at K = 4 (the
+        block antenna map puts pair 1 on one antenna) decode with one gain
+        column; ``ser`` at K = 2 keeps two, and ``ml`` scores no weight."""
+        seen = _record_gain_columns(monkeypatch)
+        monkeypatch.setattr(harness, "usable_cores", lambda: 1)
+        cfg = harness.ExperimentConfig(experiment=experiment, zeta_db_grid=np.array([10.0, 20.0]),
+                                       trials=500, seed=5, **kw)
+        harness.run_experiment(cfg)
+        assert set(seen) == widths
+
+    def test_taken_exactly_when_the_two_columns_are_equal(self, monkeypatch):
+        """Pair 1's columns equal in every row give one column; columns equal
+        up to sign, different, or different in one row only keep two."""
+        seen = _record_gain_columns(monkeypatch)
+        const, h, s = random_frames(53, 4, 50)
+        h[:, 1] = h[:, 0]
+        _, y = core.frame_observe(h, s)
+        for hh, width in [(h, 1), (h[:, [0, 0, 2, 3]] * [1.0, -1.0, 1.0, 1.0], 2), (h[:, [1, 2, 2, 3]], 2)]:
+            seen.clear()
+            core.pair_decode(y[:, :2], hh, 1, const)
+            assert set(seen) == {width}
+        h[7, 1] += 1e-12
+        seen.clear()
+        core.pair_decode(y[:, :2], h, 1, const)
+        assert set(seen) == {2}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    q_s=st.sampled_from([1, 2, 8, 22, 90]),
+    k=st.sampled_from([2, 4, 5]),
+    snr_db=st.floats(0.0, 60.0),
+)
+def test_one_gain_pair_decode_is_the_unfolded_two_gain_argmin(seed, q_s, k, snr_db):
+    """With equal gains on pair 1, ``pair_decode`` (the one-gain form) picks
+    the row-wise argmin of the unfolded two-gain weight over all C
+    candidates, on every row whose best two candidates are apart by more
+    than rounding."""
+    rng = RNG(seed)
+    p, n = 10.0 ** (snr_db / 10.0), 32
+    const = model.constellation_for_power(p, q_s)
+    cands = core.candidate_pairs(const)
+    h = model._signed_rayleigh(rng, (n, k))
+    h[:, 1] = h[:, 0]
+    _, y = core.frame_observe(h, const.draw(rng, size=(n, k)))
+    y = y[:, :2] + rng.normal(size=(n, 2))
+    w = core.weight_matrix(y, h[:, :2], cands)
+    best, second = np.partition(w, 1, axis=1)[:, :2].T
+    scale = np.linalg.norm(y, axis=1) + np.abs(h[:, 0]) * np.max(np.hypot(cands[:, 0], cands[:, 1]))
+    clear = second - best > 1e-9 * scale
+    assert np.mean(clear) > 0.9
+    hat = core.pair_decode(y, h, 1, const)
+    np.testing.assert_array_equal(hat[clear], cands[np.argmin(w[clear], axis=1)])
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),

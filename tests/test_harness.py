@@ -1,5 +1,6 @@
 """Tests for the sweep harness, CSV schema, and the command-line interface."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -122,22 +123,23 @@ class TestWorkers:
     @pytest.mark.parametrize(
         "args",
         [
-            ("ser", "--k", "2"),
-            ("ser", "--k", "4", "--decoder", "ml"),
-            ("rate", "--decoder", "ml"),
-            ("multicast",),
+            ("ser", "--k", "2", "--qs", "2", "--snr-db", "0,10"),
+            ("ser", "--k", "4", "--decoder", "ml", "--qs", "2", "--snr-db", "0,10"),
+            ("rate", "--decoder", "ml", "--qs", "2", "--snr-db", "0,10"),
+            ("multicast", "--qs", "2", "--snr-db", "0,10"),
+            ("dmin", "--qs", "8"),
         ],
     )
     def test_csv_independent_of_worker_count(self, args, tmp_path, monkeypatch):
         """1, 2.5 and 3 chunks per grid point on 1, 2 and 3 workers give the
-        same bytes: results must not depend on which process runs a chunk."""
+        same bytes: results must not depend on which process runs a chunk.
+        ``dmin`` runs one task per half-size, three of them here."""
         for trials in (harness.CHUNK, 5 * harness.CHUNK // 2, 3 * harness.CHUNK):
             texts = []
             for workers in (1, 2, 3):
                 monkeypatch.setattr(harness, "usable_cores", lambda: workers)
                 out = tmp_path / f"t{trials}_w{workers}.csv"
-                argv = [*args, "--qs", "2", "--snr-db", "0,10", "--trials", str(trials), "--seed", "77",
-                        "--out", str(out)]
+                argv = [*args, "--trials", str(trials), "--seed", "77", "--out", str(out)]
                 assert cli.main(argv) == 0
                 texts.append(out.read_text())
             assert texts[0] == texts[1] == texts[2], (args, trials)
@@ -454,6 +456,23 @@ class TestSnrGridParsing:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             cli.parse_snr_grid(bad)
+
+
+# The benchmark's directory: its workload table and reference CSVs (not a package).
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+@pytest.mark.parametrize("workload", ["dof-critical", "multicast-16pam"])
+def test_benchmark_csv_is_byte_identical_to_its_reference(workload, tmp_path, monkeypatch):
+    """The weight rule's one-gain form decodes every pair of these two
+    workloads; at seed 12345 their CSVs must equal the recorded references
+    byte for byte."""
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    workloads = importlib.import_module("workloads")
+    out = tmp_path / "run.csv"
+    assert cli.main([*workloads.WORKLOADS[workload].argv(12345), "--out", str(out)]) == 0
+    with open(os.path.join(BENCH_DIR, "reference", f"{workload}_seed12345.csv"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
 
 
 class TestCliEndToEnd:

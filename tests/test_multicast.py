@@ -127,3 +127,12 @@ class TestThroughputAndSlope:
         rng = np.random.default_rng(13)
         res = multicast.s3_rate_slope([1e6], 0.2, trials=3000, rng=rng)
         assert res[0][1] == pytest.approx(0.9, abs=0.06)
+
+    @pytest.mark.parametrize("p_grid", [[1.0, 0.5], [1e2, 1.0], [0.1], [float("nan")]])
+    def test_s3_slope_rejects_powers_at_or_below_0db(self, p_grid):
+        """The slope divides by (1/2) log2 P, which is zero at P = 1 and
+        negative below; the grid is rejected before any draw."""
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="0 dB"):
+            multicast.s3_rate_slope(p_grid, 0.2, trials=200, rng=rng)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
