@@ -14,6 +14,8 @@ by the residual component along the candidate vector and is blind to beta.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .model import PamConstellation
@@ -132,7 +134,28 @@ def _odd_part(r: np.ndarray, cands: np.ndarray, out, fold) -> np.ndarray:
     return np.matmul(r, cands.T, out=out) if fold is None else np.abs(np.matmul(r, cands.T, out=fold), out=out)
 
 
-def weight_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, out=None, fold=None) -> np.ndarray:
+def _operands(memo, build, cands: np.ndarray):
+    """``build(cands)``, kept in the dict ``memo``, if given, under ``build``,
+    so calls that share ``memo`` and ``cands`` build it once."""
+    if memo is None:
+        return build(cands)
+    if build not in memo:
+        memo[build] = build(cands)
+    return memo[build]
+
+
+def _unit_candidates(cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one-gain weight's candidate side: the norms ||c|| and the unit candidates c / ||c||."""
+    norms = np.hypot(cands[:, 0], cands[:, 1])
+    return norms, cands / norms[:, None]
+
+
+def _squares(cands: np.ndarray) -> np.ndarray:
+    """The two-gain weight's candidate side: [ca^2, cb^2]."""
+    return cands * cands
+
+
+def weight_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, out=None, fold=None, memo=None) -> np.ndarray:
     """Weight of every candidate pair for a batch of observations.
 
     y: (..., 2) observations, h_pair: (..., 2) pair gains (broadcast
@@ -144,7 +167,9 @@ def weight_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, out=None
     ``out``, if given, holds at least two (..., C) float64 buffers; the
     result is written into the first. ``fold``, if given, is one more: A is
     written into it and |A| scored in its place, so each value is the
-    smaller weight of cand and -cand (``argmin_metric``).
+    smaller weight of cand and -cand (``argmin_metric``). ``memo``, if
+    given, is a dict that keeps the candidate-side operands between calls
+    on the same ``cands``, so they are built in the first call only.
 
     h_pair of shape (..., 1) is the one-gain form: both symbols ride the
     gain h, and the values are the weights divided by |h|,
@@ -163,12 +188,12 @@ def weight_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, out=None
     """
     w, energy = out[:2] if out is not None else (None, None)
     if h_pair.shape[-1] == 1:
-        norms = np.hypot(cands[:, 0], cands[:, 1])
-        w = _odd_part(y / h_pair, cands / norms[:, None], w, fold)
+        norms, units = _operands(memo, _unit_candidates, cands)
+        w = _odd_part(y / h_pair, units, w, fold)
         w -= norms
         return np.abs(w, out=w)
     w = _odd_part(y * h_pair, cands, w, fold)
-    energy = np.matmul(h_pair * h_pair, (cands * cands).T, out=energy)
+    energy = np.matmul(h_pair * h_pair, _operands(memo, _squares, cands).T, out=energy)
     w -= energy
     np.abs(w, out=w)
     np.sqrt(energy, out=energy)
@@ -182,8 +207,15 @@ def weight_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, out=None
 _TINY = np.nextafter(0.0, 1.0)
 
 
+def _likelihood_candidates(cands: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The likelihood's candidate side: [1, ca^2, cb^2], the rotated
+    candidates [cb, -ca] and [ca^2, cb^2]."""
+    c_sq = _squares(cands)
+    return np.column_stack([np.ones(len(cands)), c_sq]), cands[:, ::-1] * [1.0, -1.0], c_sq
+
+
 def ml_metric_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, interference_power: np.ndarray,
-                     out=None, fold=None) -> np.ndarray:
+                     out=None, fold=None, memo=None) -> np.ndarray:
     """Full-covariance likelihood metric for every candidate pair, at unit
     noise variance.
 
@@ -206,18 +238,19 @@ def ml_metric_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, inter
     the first. ``fold``, if given, is one more: A is written into it and |A|
     scored in its place. The correction is even in the candidate, so each
     value is then the smaller metric of cand and -cand (``argmin_metric``).
+    ``memo`` keeps the candidate-side operands as in ``weight_matrix``.
     """
     d_sq, proj, denom = out[:3] if out is not None else (None, None, None)
     ipow = np.asarray(interference_power, dtype=float)
     h_sq = h_pair * h_pair
-    c_sq = cands * cands
+    c_even, c_rot, c_sq = _operands(memo, _likelihood_candidates, cands)
     y_even = np.concatenate([np.sum(y * y, axis=-1, keepdims=True), h_sq], axis=-1)
-    even = np.matmul(y_even, np.column_stack([np.ones(len(cands)), c_sq]).T, out=proj)
+    even = np.matmul(y_even, c_even.T, out=proj)
     d_sq = _odd_part(y * h_pair, cands, d_sq, fold)
     d_sq *= -2.0
     d_sq += even
     y_rot = np.sqrt(ipow)[..., None] * (y * h_pair[..., ::-1])
-    proj = np.matmul(y_rot, (cands[:, ::-1] * [1.0, -1.0]).T, out=proj)
+    proj = np.matmul(y_rot, c_rot.T, out=proj)
     proj *= proj
     denom = np.matmul(h_sq * np.stack([ipow, 1.0 + ipow], axis=-1), c_sq.T, out=denom)
     np.maximum(denom, _TINY, out=denom)
@@ -228,16 +261,32 @@ def ml_metric_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, inter
 
 # Values per block in ``argmin_metric``: each of its METRIC_BUFFERS (rows, C/2)
 # float64 buffers holds at most 256 KiB, so all of them stay in a 2 MiB L2
-# cache while a block is scored. At most BLOCK_ROWS rows keep the metrics'
-# per-row operands, up to (rows, 3) float64, under glibc's 128 KiB mmap
-# threshold, so they come from the heap instead of being mapped and
-# page-faulted afresh in every block; this binds only below C = 32.
+# cache while a block is scored. The buffers are views of one scratch array
+# per thread (``_block_buffers``), kept between calls, so their pages are
+# faulted in once per thread: an array above glibc's 128 KiB mmap threshold
+# is mapped afresh, and faulted in again, each time it is allocated. At most
+# BLOCK_ROWS rows keep the metrics' per-row operands, up to (rows, 3) float64,
+# under that threshold, so they come from the heap; this binds only below
+# C = 32.
 BLOCK_VALUES = 1 << 15
 BLOCK_ROWS = 1 << 11
 METRIC_BUFFERS = 4
 # The candidate budget: the largest half-size whose (2 q_s)^2 <= BLOCK_VALUES
 # pairs fit one block, 90. Folded, a row scores only half of them.
 MAX_HALF_SIZE = int(np.sqrt(BLOCK_VALUES)) // 2
+
+_scratch = threading.local()
+
+
+def _block_buffers(rows: int, half: int) -> np.ndarray:
+    """METRIC_BUFFERS (rows, half) float64 buffers, views of this thread's
+    scratch array, which grows to the largest block asked for and is kept.
+    Threads decoding at once each write their own."""
+    size = METRIC_BUFFERS * rows * half
+    values = getattr(_scratch, "values", None)
+    if values is None or len(values) < size:
+        values = _scratch.values = np.empty(size)
+    return values[:size].reshape(METRIC_BUFFERS, rows, half)
 
 
 def argmin_metric(metric, y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, *args) -> np.ndarray:
@@ -256,23 +305,28 @@ def argmin_metric(metric, y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, 
     evaluated on blocks of about ``BLOCK_VALUES`` values, so no (n, C) array
     is built; every row is scored on its own, so the result is the row-wise
     argmin of the whole (n, C) metric; only an exact tie between two pairs
-    goes to the pair whose back-half member comes first. The block buffers
-    are allocated once and passed as ``out`` and, the last, ``fold``, so
-    scoring a block allocates no (rows, C/2) array.
+    goes to the pair whose back-half member comes first. Each block is
+    scored into the same buffers, this thread's ``_block_buffers``, passed
+    as ``out`` and, the last, ``fold``, so scoring allocates no (rows, C/2)
+    array, and later calls reuse them unless they need a larger block.
+    One ``memo`` dict per call is passed too, so the metric builds its
+    candidate-side operands in the first block and reuses them after.
     """
     n, half = len(y), len(cands) // 2
     back = cands[half:]
     rows = max(1, min(n, BLOCK_ROWS, BLOCK_VALUES // half))
-    *bufs, odd_buf = [np.empty((rows, half)) for _ in range(METRIC_BUFFERS)]
+    *bufs, odd_buf = _block_buffers(rows, half)
     starts = np.arange(rows) * half  # flat index of each row in odd_buf
     idx = np.empty(n, dtype=np.intp)
     odd = np.empty(n)
+    memo: dict = {}
     for lo in range(0, n, rows):
         block = slice(lo, lo + rows)
         m = min(rows, n - lo)
         part = [a[block] for a in args]
         out, fold = ([b[:m] for b in bufs], odd_buf[:m]) if m < rows else (bufs, odd_buf)
-        np.argmin(metric(y[block], h_pair[block], back, *part, out=out, fold=fold), axis=1, out=idx[block])
+        scores = metric(y[block], h_pair[block], back, *part, out=out, fold=fold, memo=memo)
+        np.argmin(scores, axis=1, out=idx[block])
         np.take(odd_buf, starts[:m] + idx[block], out=odd[block], mode="clip")
     # idx ^ -1 == -1 - idx: C//2 + j where odd > 0, else C//2 - 1 - j, without
     # np.where's branch per row, which mispredicts on random signs.

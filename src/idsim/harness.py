@@ -192,6 +192,11 @@ def _map_chunks(fn, tasks: list, workers: int) -> list:
     workers = min(workers, len(tasks))
     if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [fn(*task) for task in tasks]
+    # numpy imports numpy.random lazily, when a task makes its first stream.
+    # Imported here, once, every worker has it: workers importing it at the
+    # same time each took longer than this one import. ``import idsim``
+    # leaves it out, so the run pays for it, not set-up.
+    import numpy.random  # noqa: F401
     pids: list[int] = []
     pipes: list[int] = []
     finished = False

@@ -1,5 +1,9 @@
 """Tests for dissolution precoding, the weight decoder, and the ML oracles."""
 
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -366,7 +370,9 @@ class TestArgminMetric:
     def test_reused_buffers(self, monkeypatch, block_values, n):
         """Every block writes into the same (rows, C/2) buffers, the last one
         passed as ``fold``: a partial last block into their leading rows, and
-        rows > n into buffers of n rows."""
+        rows > n into buffers of n rows. A second call writes into the
+        first call's buffers, and every block of a call shares one ``memo``,
+        which holds one set of candidate operands."""
         monkeypatch.setattr(core, "BLOCK_VALUES", block_values)
         rng = RNG(n)
         p = 100.0
@@ -381,25 +387,32 @@ class TestArgminMetric:
             (core.weight_matrix, ()),
             (core.ml_metric_matrix, (ipow,)),
         ]:
-            outs = []
+            calls = []
+            for _ in range(2):
+                outs, memos = [], []
 
-            def recording(*a, out, fold):
-                outs.append([*out, fold])
-                res = metric(*a, out=out, fold=fold)
-                assert res is out[0]
-                return res
+                def recording(*a, out, fold, memo):
+                    outs.append([*out, fold])
+                    memos.append(memo)
+                    res = metric(*a, out=out, fold=fold, memo=memo)
+                    assert res is out[0]
+                    return res
 
-            np.testing.assert_array_equal(
-                core.argmin_metric(recording, y, h_pair, cands, *args),
-                np.argmin(metric(y, h_pair, cands, *args), axis=1),
-            )
-            assert len(outs) == -(-n // rows)
-            assert [len(o[0]) for o in outs] == [min(rows, n - lo) for lo in range(0, n, rows)]
-            for out in outs:
-                assert len(out) == core.METRIC_BUFFERS
-                for buf, first in zip(out, outs[0]):
-                    assert buf.shape[1] == half
-                    assert buf.__array_interface__["data"] == first.__array_interface__["data"]
+                np.testing.assert_array_equal(
+                    core.argmin_metric(recording, y, h_pair, cands, *args),
+                    np.argmin(metric(y, h_pair, cands, *args), axis=1),
+                )
+                assert len(outs) == -(-n // rows)
+                assert [len(o[0]) for o in outs] == [min(rows, n - lo) for lo in range(0, n, rows)]
+                assert all(memo is memos[0] for memo in memos) and len(memos[0]) == 1
+                for out in outs:
+                    assert len(out) == core.METRIC_BUFFERS
+                    for buf, first in zip(out, outs[0]):
+                        assert buf.shape[1] == half
+                        assert buf.__array_interface__["data"] == first.__array_interface__["data"]
+                calls.append(outs[0])
+            for buf, first in zip(*calls):
+                assert buf.__array_interface__["data"] == first.__array_interface__["data"]
 
     def test_fold_scores_the_better_of_each_antipodal_pair(self):
         """Given ``fold``, a kernel scores the back half with the smaller value
@@ -423,6 +436,70 @@ class TestArgminMetric:
             folded = metric(y, h_pair, cands[half:], *args, fold=fold)
             np.testing.assert_allclose(folded, np.minimum(back, front), rtol=1e-12, atol=1e-9)
             np.testing.assert_allclose(folded, np.where(fold > 0, back, front), rtol=1e-12, atol=1e-9)
+
+
+def _decoder_inputs(seed, k, n, q_s, one_gain=False):
+    """Alphabet at 20 dB and noisy pair-1 observations y (n, 2) of n frames
+    with gains h (n, K); with ``one_gain`` the pair rides one gain."""
+    const, h, s = random_frames(seed, k, n, p=100.0, q_s=q_s)
+    if one_gain:
+        h[:, 1] = h[:, 0]
+    _, y = core.frame_observe(h, s)
+    y += RNG(seed, 1).normal(size=y.shape)
+    return const, np.ascontiguousarray(y[:, :2]), h
+
+
+class TestBlockBuffers:
+    """``argmin_metric``'s block buffers are one scratch array per thread,
+    kept between calls."""
+
+    @pytest.mark.parametrize("decoder,k,q_s", [(core.WEIGHT, 2, 22), (core.ML, 4, 8)])
+    def test_threads_decoding_at_once_match_sequential_calls(self, decoder, k, q_s):
+        """Two threads decode different frames at once, each several times,
+        with a short switch interval: each gets its sequential decisions."""
+        repeats = 4
+        inputs = [_decoder_inputs(61 + t, k, 2048, q_s) for t in range(2)]
+        expected = [core.pair_decode(y, h, 1, const, decoder) for const, y, h in inputs]
+        results = [[], []]
+        barrier = threading.Barrier(2)
+
+        def decode(t):
+            const, y, h = inputs[t]
+            barrier.wait(timeout=60)
+            for _ in range(repeats):
+                results[t].append(core.pair_decode(y, h, 1, const, decoder))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=decode, args=(t,)) for t in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got, want in zip(results, expected):
+            assert len(got) == repeats
+            for decisions in got:
+                np.testing.assert_array_equal(decisions, want)
+
+    @pytest.mark.parametrize("one_gain", [False, True])
+    def test_repeat_decode_allocates_no_block_buffer(self, one_gain):
+        """A second ``pair_decode`` of 2048 rows at q_s = 22 reuses the first
+        call's buffers: its peak allocation stays under one (rows, C/2) block
+        buffer, 255.5 KiB, where four were allocated per call before."""
+        const, y, h = _decoder_inputs(67, 2, 2048, 22, one_gain)
+        core.pair_decode(y, h, 1, const)
+        half = (2 * const.q_s) ** 2 // 2
+        tracemalloc.start()
+        try:
+            core.pair_decode(y, h, 1, const)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < core.BLOCK_VALUES // half * half * 8
 
 
 @settings(max_examples=40, deadline=None)

@@ -217,6 +217,22 @@ class TestWorkers:
         assert res.stdout.count("experiment,scheme") == 1
         assert len(lines) == 2 + 3 * 3 + 1  # 'before', header, 9 rows, trailing ''
 
+    def test_numpy_random_is_imported_before_the_fork_not_at_import(self):
+        """``import idsim`` leaves numpy.random unloaded, so set-up does not
+        pay for it, and forked workers find it loaded by the parent when
+        their first task starts, so they do not each import it."""
+        code = (
+            "import os, sys; import idsim; from idsim import harness; "
+            "print('numpy.random' in sys.modules); "
+            "parent = os.getpid(); "
+            "probe = lambda t: (os.getpid() != parent, 'numpy.random' in sys.modules); "
+            "print(*harness._map_chunks(probe, [(0,), (1,)], 2)[1])"
+        )
+        res = subprocess.run([sys.executable, "-c", code], env=subprocess_env(os.environ),
+                             capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split("\n") == ["False", "True True", ""]
+
     def test_exception_that_does_not_unpickle_keeps_its_traceback(self, monkeypatch):
         """A child's exception that cannot be rebuilt here arrives as a
         WorkerError holding the child's traceback."""
@@ -462,16 +478,19 @@ class TestSnrGridParsing:
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
-@pytest.mark.parametrize("workload", ["dof-critical", "multicast-16pam"])
-def test_benchmark_csv_is_byte_identical_to_its_reference(workload, tmp_path, monkeypatch):
-    """The weight rule's one-gain form decodes every pair of these two
-    workloads; at seed 12345 their CSVs must equal the recorded references
-    byte for byte."""
+@pytest.mark.parametrize("seed", [12345, 1606])
+@pytest.mark.parametrize("workload", ["ser-2pam", "multicast-16pam", "ser-k4-16pam-ml", "dof-critical"])
+def test_benchmark_csv_is_byte_identical_to_its_reference(workload, seed, tmp_path, monkeypatch):
+    """Every benchmark workload, run as the benchmark runs it (forked where
+    the sweep forks), gives its recorded reference CSV byte for byte at the
+    benchmark seed and the held-out one: the two-gain weight (``ser-2pam``),
+    its one-gain form (``multicast-16pam``, ``dof-critical``) and the
+    likelihood (``ser-k4-16pam-ml``)."""
     monkeypatch.syspath_prepend(BENCH_DIR)
     workloads = importlib.import_module("workloads")
     out = tmp_path / "run.csv"
-    assert cli.main([*workloads.WORKLOADS[workload].argv(12345), "--out", str(out)]) == 0
-    with open(os.path.join(BENCH_DIR, "reference", f"{workload}_seed12345.csv"), "rb") as fh:
+    assert cli.main([*workloads.WORKLOADS[workload].argv(seed), "--out", str(out)]) == 0
+    with open(os.path.join(BENCH_DIR, "reference", f"{workload}_seed{seed}.csv"), "rb") as fh:
         assert out.read_bytes() == fh.read()
 
 
