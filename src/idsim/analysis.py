@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .model import PamConstellation, constellation_for_power, _signed_rayleigh
+from .model import PamConstellation, _signed_rayleigh
 
 # Draws per batch of the distance prober and of the DoF pair-error estimate,
 # and the top grid points the DoF slope is fitted over.
@@ -37,7 +37,14 @@ def capacity_miso(g: np.ndarray, p_s: float):
 
 def rate_pair_gaussian(h: np.ndarray, p: float, m: int):
     """Gaussian-input rate of pair m over (y_1, y_{m+1}), in bits per two uses,
-    for symbol gains h (..., K); the result is (...,)."""
+    for symbol gains h (..., K); the result is (...,).
+
+    It takes the second use at the first use's received power, 1 + P S
+    (``cov_unconditional``), with the dissolved interference at its nominal
+    power P S_m, ratio r = 1 in ``cov_conditional``. It is not normalized to
+    the realized second-use power beta^2 s_a^2 + s_b^2 that the ``ser``
+    sweep's ``tx_power_use2`` reports: 2P at K = 2, where beta = 1, and
+    heavy-tailed far above it at K >= 4 under Rayleigh gains."""
     s_all = np.sum(h**2, axis=-1)
     s_excl = core.out_of_pair_sum(h**2, m)
     first = 0.5 * np.log2(1.0 + p * s_all)
@@ -106,18 +113,18 @@ def dmin_batch(s_true: np.ndarray, interference: np.ndarray, h: np.ndarray, cons
     over the candidate pairs of the alphabet ``const``.
 
     ``interference`` (n,) is each pair's out-of-pair sum, which sets beta.
-    Rows are scored ``core.BLOCK_VALUES // C`` at a time, not as one (n, C) array.
+    Rows are scored in ``core.row_blocks``, unfolded, in the two-gain form
+    (its near-zero floors keep their digits), with one ``memo`` per call.
     """
     h_pair = np.stack([h, h], axis=-1)
     _, y = core.dissolve(h_pair, s_true, interference)
     cands = core.candidate_pairs(const)
     d2 = np.empty(len(y))
-    rows = max(1, core.BLOCK_VALUES // len(cands))
-    for lo in range(0, len(y), rows):
-        block = slice(lo, lo + rows)
-        w = core.weight_matrix(y[block], h_pair[block], cands)
+    memo: dict = {}
+    for block, out in core.row_blocks(len(y), len(cands)):
+        w = core.weight_matrix(y[block], h_pair[block], cands, out=out, memo=memo)
         w[(cands[:, 0] == s_true[block, 0:1]) & (cands[:, 1] == s_true[block, 1:2])] = np.inf
-        d2[block] = np.min(w, axis=1)
+        np.min(w, axis=1, out=d2[block])
     return d2**2
 
 
@@ -181,9 +188,7 @@ def dof_slope(p_grid, epsilon: float, trials: int, rng: np.random.Generator, k: 
         raise ValueError("dof needs every power above 0 dB: (1/2) log2 P must be positive")
     if not np.all(np.diff(p_grid) > 0.0):
         raise ValueError("dof needs a strictly increasing power grid: its slope is fitted over the top points")
-    consts = [constellation_for_power(p, constellation_size_for_power(p, epsilon)) for p in p_grid]
-    for const in consts:
-        core.check_half_size(const.q_s)
+    consts = [core.alphabet(p, constellation_size_for_power(p, epsilon)) for p in p_grid]
     h_common = float(_signed_rayleigh(rng, ()))
     g_int = _signed_rayleigh(rng, k - 2)
     out = []

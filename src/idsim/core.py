@@ -18,7 +18,7 @@ import threading
 
 import numpy as np
 
-from .model import PamConstellation
+from .model import PamConstellation, constellation_for_power
 
 WEIGHT = "weight"
 ML = "ml"
@@ -117,13 +117,17 @@ def candidate_pairs(const: PamConstellation) -> np.ndarray:
     return cands.reshape(-1, 2)
 
 
-def check_half_size(q_s: int) -> None:
-    """Raise ValueError for a half-size above MAX_HALF_SIZE: its candidate
-    pairs would not fit one ``argmin_metric`` block, and they grow as q_s^2.
+def alphabet(p: float, q_s: int) -> PamConstellation:
+    """The half-size ``q_s`` alphabet at power ``p``, its half-size checked
+    first: the check compares integers, so one too large for a float fails
+    before it would overflow the scaling."""
+    check_half_size(q_s)
+    return constellation_for_power(p, q_s)
 
-    It compares integers only, so a half-size too large for a float fails
-    here before an alphabet is scaled with it.
-    """
+
+def check_half_size(q_s: int) -> None:
+    """Raise ValueError for a half-size above MAX_HALF_SIZE: its (2 q_s)^2
+    candidate pairs would not fit one ``row_blocks`` block."""
     if q_s > MAX_HALF_SIZE:
         raise ValueError(f"half-size {q_s} gives more than {BLOCK_VALUES} candidate pairs; "
                          f"the half-size must be at most {MAX_HALF_SIZE}")
@@ -259,15 +263,13 @@ def ml_metric_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, inter
     return d_sq
 
 
-# Values per block in ``argmin_metric``: each of its METRIC_BUFFERS (rows, C/2)
+# The block budget of ``row_blocks``: each of METRIC_BUFFERS (rows, width)
 # float64 buffers holds at most 256 KiB, so all of them stay in a 2 MiB L2
-# cache while a block is scored. The buffers are views of one scratch array
-# per thread (``_block_buffers``), kept between calls, so their pages are
-# faulted in once per thread: an array above glibc's 128 KiB mmap threshold
-# is mapped afresh, and faulted in again, each time it is allocated. At most
-# BLOCK_ROWS rows keep the metrics' per-row operands, up to (rows, 3) float64,
-# under that threshold, so they come from the heap; this binds only below
-# C = 32.
+# cache while a block is scored. They are views of one scratch array per
+# thread, kept between calls, so their pages are faulted in once per thread,
+# not each time an array above glibc's 128 KiB mmap threshold is mapped
+# afresh. At most BLOCK_ROWS rows keep the metrics' per-row operands, up to
+# (rows, 3) float64, under that threshold; this binds only below C = 32.
 BLOCK_VALUES = 1 << 15
 BLOCK_ROWS = 1 << 11
 METRIC_BUFFERS = 4
@@ -278,15 +280,22 @@ MAX_HALF_SIZE = int(np.sqrt(BLOCK_VALUES)) // 2
 _scratch = threading.local()
 
 
-def _block_buffers(rows: int, half: int) -> np.ndarray:
-    """METRIC_BUFFERS (rows, half) float64 buffers, views of this thread's
-    scratch array, which grows to the largest block asked for and is kept.
-    Threads decoding at once each write their own."""
-    size = METRIC_BUFFERS * rows * half
+def row_blocks(n: int, width: int):
+    """Yield each block of ``n`` rows, about BLOCK_VALUES values and at most
+    BLOCK_ROWS rows, as ``(block, buffers)``: its row slice and a list of
+    METRIC_BUFFERS (rows, width) float64 buffers to score it into. They are
+    views of this thread's scratch array, grown to the largest block asked
+    for and kept, so every block and every later call writes into the same
+    memory, a partial last block into its leading rows."""
+    rows = max(1, min(n, BLOCK_ROWS, BLOCK_VALUES // width))
+    size = METRIC_BUFFERS * rows * width
     values = getattr(_scratch, "values", None)
     if values is None or len(values) < size:
         values = _scratch.values = np.empty(size)
-    return values[:size].reshape(METRIC_BUFFERS, rows, half)
+    bufs = list(values[:size].reshape(METRIC_BUFFERS, rows, width))
+    for lo in range(0, n, rows):
+        m = min(rows, n - lo)
+        yield slice(lo, lo + m), bufs if m == rows else [b[:m] for b in bufs]
 
 
 def argmin_metric(metric, y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, *args) -> np.ndarray:
@@ -301,33 +310,26 @@ def argmin_metric(metric, y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, 
     antipode C//2 - 1 - j, the earlier one of a tied pair.
 
     y and h_pair are (n, 2), and every array in ``args`` holds one value
-    per row and is sliced with them. The metric is
-    evaluated on blocks of about ``BLOCK_VALUES`` values, so no (n, C) array
-    is built; every row is scored on its own, so the result is the row-wise
-    argmin of the whole (n, C) metric; only an exact tie between two pairs
-    goes to the pair whose back-half member comes first. Each block is
-    scored into the same buffers, this thread's ``_block_buffers``, passed
-    as ``out`` and, the last, ``fold``, so scoring allocates no (rows, C/2)
-    array, and later calls reuse them unless they need a larger block.
-    One ``memo`` dict per call is passed too, so the metric builds its
-    candidate-side operands in the first block and reuses them after.
+    per row and is sliced with them. The rows are scored in ``row_blocks``,
+    its buffers passed as ``out`` and, the last, ``fold``, with one ``memo``
+    per call, so no (n, C) array is built and the candidate-side operands
+    are built once. Each row is scored on its own, so the result is the
+    row-wise argmin of the whole (n, C) metric; only an exact tie between
+    two pairs goes to the pair whose back-half member comes first.
     """
     n, half = len(y), len(cands) // 2
     back = cands[half:]
-    rows = max(1, min(n, BLOCK_ROWS, BLOCK_VALUES // half))
-    *bufs, odd_buf = _block_buffers(rows, half)
-    starts = np.arange(rows) * half  # flat index of each row in odd_buf
     idx = np.empty(n, dtype=np.intp)
     odd = np.empty(n)
     memo: dict = {}
-    for lo in range(0, n, rows):
-        block = slice(lo, lo + rows)
-        m = min(rows, n - lo)
+    starts = None  # flat index of each row in a block's fold, from the first, largest block
+    for block, (*out, fold) in row_blocks(n, half):
         part = [a[block] for a in args]
-        out, fold = ([b[:m] for b in bufs], odd_buf[:m]) if m < rows else (bufs, odd_buf)
         scores = metric(y[block], h_pair[block], back, *part, out=out, fold=fold, memo=memo)
         np.argmin(scores, axis=1, out=idx[block])
-        np.take(odd_buf, starts[:m] + idx[block], out=odd[block], mode="clip")
+        if starts is None:
+            starts = np.arange(len(fold)) * half
+        np.take(fold, starts[: len(fold)] + idx[block], out=odd[block], mode="clip")
     # idx ^ -1 == -1 - idx: C//2 + j where odd > 0, else C//2 - 1 - j, without
     # np.where's branch per row, which mispredicts on random signs.
     return half + (idx ^ np.subtract(odd > 0, 1, dtype=np.intp))

@@ -83,6 +83,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.k < 2:
             raise ValueError("need at least two symbols")
         if self.q_s < 1:
@@ -136,13 +138,6 @@ def _rng(cfg: ExperimentConfig, *path: int) -> np.random.Generator:
     and ``_rng(cfg, 0, 0)`` are one stream, chunk (0, 0)'s in ``_run_chunks``:
     keys used in one experiment must differ beyond trailing zeros."""
     return np.random.default_rng([cfg.seed, _EXP_ID[cfg.experiment], *path])
-
-
-def _alphabet(p: float, q_s: int) -> model.PamConstellation:
-    """The half-size ``q_s`` alphabet scaled to power ``p``. The half-size is
-    checked first: one too large for a float would overflow the scaling."""
-    core.check_half_size(q_s)
-    return model.constellation_for_power(p, q_s)
 
 
 def _run_chunks(cfg: ExperimentConfig, chunk, points: list) -> list[tuple]:
@@ -320,7 +315,7 @@ def run_ser_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     points = []
     for zdb in cfg.zeta_db_grid:
         p = cfg.power_at(zdb)
-        points.append((_alphabet(p, cfg.q_s), model.constellation_for_power(2.0 * p, cfg.q_s)))
+        points.append((core.alphabet(p, cfg.q_s), model.constellation_for_power(2.0 * p, cfg.q_s)))
     sums = _run_chunks(cfg, _ser_chunk, points)
 
     rows: list[SweepRow] = []
@@ -363,10 +358,7 @@ def run_rate_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     SER counts errors over both symbols of pair 1, so its ``trials`` is that
     symbol count, as in the ``ser`` sweep's ID rows.
     """
-    points = []
-    for zdb in cfg.zeta_db_grid:
-        p = cfg.power_at(zdb)
-        points.append((p, _alphabet(p, cfg.q_s)))
+    points = [(p, core.alphabet(p, cfg.q_s)) for p in map(cfg.power_at, cfg.zeta_db_grid)]
     sums = _run_chunks(cfg, _rate_chunk, points)
 
     rows: list[SweepRow] = []
@@ -395,7 +387,7 @@ def run_dmin_probe(cfg: ExperimentConfig) -> list[SweepRow]:
     points = []
     q = 2
     while q <= max(2, cfg.q_s):
-        points.append(_alphabet(1.0, q))
+        points.append(core.alphabet(1.0, q))
         q *= 2
 
     def run(qi, const):
@@ -440,7 +432,7 @@ def _multicast_chunk(cfg, const, rng, n):
 
 def run_multicast(cfg: ExperimentConfig) -> list[SweepRow]:
     """Per-user SER of the three-user multicast scheme, plus throughput."""
-    points = [_alphabet(cfg.power_at(zdb), cfg.q_s) for zdb in cfg.zeta_db_grid]
+    points = [core.alphabet(cfg.power_at(zdb), cfg.q_s) for zdb in cfg.zeta_db_grid]
     sums = _run_chunks(cfg, _multicast_chunk, points)
     rows: list[SweepRow] = []
     for zdb, errors in zip(cfg.zeta_db_grid, sums):

@@ -189,9 +189,9 @@ class TestDminExhaustive:
 
     def test_blocks_bound_the_allocation(self):
         """At q_s = 64 (C = 16384) one (n, C) float64 array of 256 rows is
-        32 MiB. dmin_batch scores BLOCK_VALUES // C = 2 rows at a time, so
-        its peak allocation stays under 2 MiB, and its values are the direct
-        minimum over every candidate but the true pair."""
+        32 MiB. dmin_batch scores its rows in ``core.row_blocks``, 2 rows at
+        a time here, so its peak allocation stays under 2 MiB, and its
+        values are the direct minimum over every candidate but the true pair."""
         rng = np.random.default_rng(19)
         const = model.constellation_for_power(1.0, 64)
         cands = core.candidate_pairs(const)
@@ -212,6 +212,68 @@ class TestDminExhaustive:
         w2 = np.sum((y[:, None, :] - v) * v, axis=-1) ** 2 / np.sum(v * v, axis=-1)
         w2[np.all(cands == s[:m, None, :], axis=-1)] = np.inf
         np.testing.assert_allclose(d2[:m], np.min(w2, axis=1), rtol=1e-9)
+
+    @staticmethod
+    def _dmin_inputs(seed, n, q_s):
+        rng = np.random.default_rng(seed)
+        const = model.constellation_for_power(1.0, q_s)
+        h = model._signed_rayleigh(rng, n)
+        return const.draw(rng, size=(n, 2)), rng.normal(size=n), h, const
+
+    def test_same_values_at_every_block_size(self, monkeypatch):
+        """Blocks of 2 and 3 rows (C = 256), the last one partial, give the
+        default's floors to the last bit. Blocks of one row agree to 1e-12:
+        numpy scores a one-row block by a matrix-vector product, whose
+        rounding differs from the matrix product's in the last bits."""
+        args = self._dmin_inputs(23, 50, 8)
+        got = []
+        for block_values in (7, 512, 1000, core.BLOCK_VALUES):
+            monkeypatch.setattr(core, "BLOCK_VALUES", block_values)
+            got.append(analysis.dmin_batch(*args))
+        np.testing.assert_array_equal(got[1], got[3])
+        np.testing.assert_array_equal(got[2], got[3])
+        np.testing.assert_allclose(got[0], got[3], rtol=1e-12, atol=0)
+
+    def test_repeat_call_allocates_no_block_buffer(self):
+        """A second dmin_batch of 256 rows at q_s = 64 (C = 16384) scores into
+        the first call's block buffers and builds the candidate squares once.
+        Its peak stays under 768 KiB: the (C, 2) candidate pairs and their
+        squares, 256 KiB each, plus one (2, C) float64 block buffer, where
+        every block allocated two of them before."""
+        args = self._dmin_inputs(29, 256, 64)
+        analysis.dmin_batch(*args)
+        tracemalloc.start()
+        try:
+            analysis.dmin_batch(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 * (2 * 64) ** 2 * 8
+
+    def test_blocks_share_buffers_and_one_memo(self, monkeypatch):
+        """Every block, of this call and the next, is scored into the same
+        buffers, and the blocks of a call share one ``memo``, which holds one
+        set of candidate operands; the next call gets a fresh one."""
+        args = self._dmin_inputs(31, 100, 8)
+        weight_matrix = core.weight_matrix
+        calls = []
+
+        def recording(*a, out, memo):
+            calls.append((out, memo))
+            return weight_matrix(*a, out=out, memo=memo)
+
+        monkeypatch.setattr(core, "BLOCK_VALUES", 1000)
+        monkeypatch.setattr(core, "weight_matrix", recording)
+        np.testing.assert_array_equal(analysis.dmin_batch(*args), analysis.dmin_batch(*args))
+        blocks = len(calls) // 2
+        assert blocks == -(-100 // (1000 // 256)) and len(calls) == 2 * blocks
+        for call in (calls[:blocks], calls[blocks:]):
+            memo = call[0][1]
+            assert len(memo) == 1 and all(m is memo for _, m in call)
+            for out, _ in call:
+                for buf, buf0 in zip(out, calls[0][0]):
+                    assert buf.__array_interface__["data"] == buf0.__array_interface__["data"]
+        assert calls[0][1] is not calls[blocks][1]
 
     def test_positive_on_continuous_channels(self):
         """Generic draws keep the minimum distance strictly positive."""

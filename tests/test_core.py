@@ -1,8 +1,10 @@
 """Tests for dissolution precoding, the weight decoder, and the ML oracles."""
 
+import re
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -500,6 +502,20 @@ class TestBlockBuffers:
         finally:
             tracemalloc.stop()
         assert peak < core.BLOCK_VALUES // half * half * 8
+
+
+def test_block_budget_is_read_only_in_core():
+    """The block and candidate budgets belong to ``core``: no other module
+    names the budget constants, the scratch array or ``check_half_size``,
+    and the harness takes its decoded alphabets from ``core.alphabet``."""
+    names = re.compile(r"\b(BLOCK_VALUES|BLOCK_ROWS|METRIC_BUFFERS|check_half_size|_scratch)\b")
+    modules = {path.name: path.read_text() for path in Path(core.__file__).parent.glob("*.py")}
+    assert set(names.findall(modules.pop("core.py"))) == {
+        "BLOCK_VALUES", "BLOCK_ROWS", "METRIC_BUFFERS", "check_half_size", "_scratch"
+    }
+    assert "harness.py" in modules and "analysis.py" in modules
+    assert {name: names.findall(text) for name, text in modules.items() if names.search(text)} == {}
+    assert not hasattr(harness, "_alphabet")
 
 
 @settings(max_examples=40, deadline=None)

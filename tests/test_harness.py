@@ -71,6 +71,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_cfg(**kw)
 
+    def test_negative_seed_is_named(self):
+        """numpy's streams take no negative seed: the config says so before
+        a worker is forked, naming the seed."""
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            small_cfg(seed=-1)
+
 
 class TestSerSweep:
     def test_csv_bit_identical_for_same_seed(self):
@@ -722,6 +728,7 @@ _INVALID_FLAGS = st.one_of(
               st.one_of(st.integers(91, 200), _HUGE_HALF_SIZES), st.just(1)),
     st.tuples(st.just("dmin"), st.just("--qs"), st.one_of(st.integers(128, 200), _HUGE_HALF_SIZES), st.just(1)),
     st.tuples(st.sampled_from(_ALL), st.just("--trials"), st.integers(max_value=0), st.just(1)),
+    st.tuples(st.sampled_from(_ALL), st.just("--seed"), st.integers(max_value=-1), st.just(1)),
     st.tuples(st.just("dof"), st.just("--epsilon"), st.floats().filter(lambda e: not 0.0 < e < 1.0), st.just(1)),
     st.tuples(
         st.sampled_from(_SNR_RUNS),
@@ -759,6 +766,9 @@ _INVALID_FLAGS = st.one_of(
 @example(("ser", "--qs", 10**399, 1))
 @example(("dof", "--snr-db", "60,50,40,30,20", 1))
 @example(("dof", "--snr-db", "20,20", 1))
+@example(("ser", "--seed", -1, 1))
+@example(("rate", "--seed", -1, 1))
+@example(("multicast", "--seed", -1, 1))
 def test_invalid_flag_value_exits_nonzero(case):
     """Any invalid value exits 1 (or 2 from argparse) before a channel is
     drawn or a worker forked, and writes no CSV."""
