@@ -48,6 +48,6 @@ print(f"throughput: {rows[-1].bound_value} symbols per channel use")
 
 print("\nrate slope of s3 vs (1/2) log2 P (one fixed gain, eps=0.2):")
 res = multicast.s3_rate_slope([1e2, 1e4, 1e6], 0.2, trials=2000, rng=rng)
-for p, slope in res:
-    print(f"  P={p:8.0e}: slope {slope:.3f}")
+for pt in res:
+    print(f"  P={pt.p:8.0e}: slope {pt.ratio:.3f}")
 print("s3 rides a clean scaled channel once the pair is stripped: one DoF.")

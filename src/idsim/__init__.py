@@ -3,7 +3,8 @@
 The scheme superposes K PAM symbols in one channel use and then sends each
 symbol pair nonlinearly precoded so the pair can be peeled off with one
 more observation: interference is dissolved into the pair's own direction's
-orthogonal complement. Modules:
+orthogonal complement. The package re-exports nothing; import its modules,
+as in ``from idsim import core``:
 
 - ``model``: constellations with exact power accounting, Rayleigh channel draws
 - ``core``: the dissolution signal model, the weight decoder, likelihood oracles,
@@ -24,39 +25,5 @@ import os as _os
 _BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 if not any(var in _os.environ for var in _BLAS_THREAD_VARS):
     _os.environ["OMP_NUM_THREADS"] = "1"
-
-from .analysis import (
-    DminReport,
-    DofPoint,
-    binary_entropy,
-    capacity_gap_margin,
-    capacity_miso,
-    dmin_probe,
-    dof_growth_slope,
-    dof_slope,
-    fano_rate_lower_bound,
-    pe_upper_bound,
-    rate_pair_gaussian,
-    rate_total,
-)
-from .baselines import mrc_decode_batch
-from .core import (
-    channel_uses,
-    dissolve,
-    frame_decode,
-    frame_observe,
-    pair_decode,
-)
-from .harness import ExperimentConfig, SweepRow, run_experiment, write_csv
-from .model import PamConstellation, amplitude_for_power, constellation_for_power, draw_channels
-from .multicast import (
-    ALPHA,
-    multicast_decode,
-    multicast_decode_s3,
-    multicast_precode,
-    s3_rate_slope,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]
 
 __version__ = "0.1.0"

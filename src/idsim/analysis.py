@@ -13,7 +13,7 @@ prober and the DoF slope estimator verify the scaling claims empirically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,23 +91,6 @@ def pe_upper_bound(dmin2: float) -> float:
     return float(np.exp(-dmin2 / 8.0))
 
 
-@dataclass
-class DminReport:
-    """Scaled minimum-distance samples d_min^2 q_s^2 / (h^2 a_s^2) per draw."""
-
-    q_s: int
-    samples: int
-    dmin2_scaled: np.ndarray = field(repr=False)
-
-    @property
-    def floor(self) -> float:
-        return float(np.min(self.dmin2_scaled))
-
-    @property
-    def median(self) -> float:
-        return float(np.median(self.dmin2_scaled))
-
-
 def dmin_batch(s_true: np.ndarray, interference: np.ndarray, h: np.ndarray, const: PamConstellation) -> np.ndarray:
     """Squared minimum weights of (n, 2) true pairs on common gains h (n,)
     over the candidate pairs of the alphabet ``const``.
@@ -128,9 +111,9 @@ def dmin_batch(s_true: np.ndarray, interference: np.ndarray, h: np.ndarray, cons
     return d2**2
 
 
-def dmin_probe(const: PamConstellation, draws: int, rng: np.random.Generator, k: int = 4) -> DminReport:
-    """Sample the scaled minimum distance of ``const``'s candidate pairs
-    over random channels and symbols.
+def dmin_probe(const: PamConstellation, draws: int, rng: np.random.Generator, k: int = 4) -> np.ndarray:
+    """Samples (draws,) of the scaled minimum distance d_min^2 q_s^2 / (h^2 a_s^2)
+    of ``const``'s candidate pairs over random channels and symbols.
 
     The intended pair rides a common gain; interferers keep independent
     gains so the dissolution factor stays generic, which needs K >= 3.
@@ -146,19 +129,25 @@ def dmin_probe(const: PamConstellation, draws: int, rng: np.random.Generator, k:
         s = const.draw(rng, size=(n, k))
         d2 = dmin_batch(s[:, :2], np.sum(g_int * s[:, 2:], axis=1), h, const)
         scaled.append(d2 * const.q_s**2 / (h**2 * const.a_s**2))
-    return DminReport(q_s=const.q_s, samples=draws, dmin2_scaled=np.concatenate(scaled))
+    return np.concatenate(scaled)
 
 
-def constellation_size_for_power(p: float, epsilon: float) -> int:
-    """Half-size q_s = round(P^((1 - eps) / 4)), at least 1."""
+def constellation_size_for_power(p: float, epsilon: float, dof: float = 0.5) -> int:
+    """Half-size q_s = round(P^(dof (1 - eps) / 2)), at least 1, of a DoF
+    probe: its rate log2(2 q_s) grows as dof (1 - eps) times (1/2) log2 P,
+    the divisor of ``DofPoint.ratio``, so P must exceed 1 (0 dB). A pair
+    symbol has 1/2 DoF, multicast's s3 one."""
+    if not p > 1.0:
+        raise ValueError(f"a DoF probe needs every power above 0 dB: (1/2) log2 P must be positive, got P = {p:g}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    return max(1, int(round(p ** ((1.0 - epsilon) / 4.0))))
+    return max(1, int(round(p ** (dof * (1.0 - epsilon) / 2.0))))
 
 
 @dataclass
 class DofPoint:
-    """One power-grid point of the degrees-of-freedom sweep."""
+    """One power-grid point of a degrees-of-freedom probe: ``dof_slope``'s
+    pair or ``multicast.s3_rate_slope``'s s3, with its half-size ``q_s``."""
 
     p: float
     q_s: int
@@ -177,18 +166,16 @@ def dof_slope(p_grid, epsilon: float, trials: int, rng: np.random.Generator, k: 
     The constellation half-size grows as P^((1-eps)/4). The pair rides one
     fixed generic channel draw (the degrees-of-freedom claim is per
     realization); the pair-error probability is pooled over symbol and
-    unit-variance noise draws. Every power must exceed 1 (0 dB), where
-    (1/2) log2 P, the divisor of ``DofPoint.ratio``, is positive, and the
+    unit-variance noise draws. Every power must exceed 1 (0 dB), and the
     grid must strictly increase (``dof_growth_slope``). Every point's
     half-size is checked before the first draw, so an alphabet too large to
     enumerate fails before any point runs.
     """
     p_grid = np.asarray(p_grid, dtype=float)
-    if not np.all(p_grid > 1.0):
-        raise ValueError("dof needs every power above 0 dB: (1/2) log2 P must be positive")
+    sizes = [constellation_size_for_power(p, epsilon) for p in p_grid]
     if not np.all(np.diff(p_grid) > 0.0):
         raise ValueError("dof needs a strictly increasing power grid: its slope is fitted over the top points")
-    consts = [core.alphabet(p, constellation_size_for_power(p, epsilon)) for p in p_grid]
+    consts = [core.alphabet(p, q_s) for p, q_s in zip(p_grid, sizes)]
     h_common = float(_signed_rayleigh(rng, ()))
     g_int = _signed_rayleigh(rng, k - 2)
     out = []

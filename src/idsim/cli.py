@@ -92,7 +92,7 @@ def main(argv=None) -> int:
         cfg = harness.ExperimentConfig(experiment=opts["experiment"], **fields)
         rows = harness.run_experiment(cfg)
         harness.write_csv(rows, opts["out"], opts["emit_plot_data"])
-    except (ValueError, OSError, harness.WorkerError) as exc:
+    except (ValueError, OSError, MemoryError, harness.WorkerError) as exc:
         print(f"idsim: error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -41,9 +41,6 @@ N_ANTENNAS = 2
 # double overflow at 1.8e308.
 SNR_DB_RANGE = (-100.0, 300.0)
 
-_EXPERIMENTS = ("ser", "rate", "dmin", "dof", "multicast")
-_EXP_ID = {name: i for i, name in enumerate(_EXPERIMENTS)}
-
 CSV_COLUMNS = [
     "experiment",
     "scheme",
@@ -79,7 +76,7 @@ class ExperimentConfig:
     epsilon: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.experiment not in _EXPERIMENTS:
+        if self.experiment not in _RUNNERS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
@@ -391,8 +388,8 @@ def run_dmin_probe(cfg: ExperimentConfig) -> list[SweepRow]:
         q *= 2
 
     def run(qi, const):
-        rep = analysis.dmin_probe(const, cfg.trials, _rng(cfg, qi), k=cfg.k)
-        return rep.floor, rep.median
+        d2 = analysis.dmin_probe(const, cfg.trials, _rng(cfg, qi), k=cfg.k)
+        return float(np.min(d2)), float(np.median(d2))
 
     results = _map_chunks(run, list(enumerate(points)), usable_cores())
     return [
@@ -452,6 +449,8 @@ _RUNNERS = {
     "dof": run_dof_sweep,
     "multicast": run_multicast,
 }
+# Each experiment's stream id in ``_rng``: its place in ``_RUNNERS``.
+_EXP_ID = {name: i for i, name in enumerate(_RUNNERS)}
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[SweepRow]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import core
-from .analysis import fano_rate_lower_bound
+from .analysis import DofPoint, constellation_size_for_power, fano_rate_lower_bound
 from .model import PamConstellation, constellation_for_power
 
 ALPHA = float(np.sqrt(3.0) / 2.0)
@@ -69,23 +69,22 @@ def multicast_decode_s3(y1_user3, h3, s1_hat, s2_hat, const: PamConstellation):
     return const.nearest(residual / (ALPHA * h3))
 
 
-def s3_rate_slope(p_grid, epsilon: float, trials: int, rng: np.random.Generator) -> list[tuple[float, float]]:
-    """Fano-rate slope of s3 against (1/2) log2 P at user 3.
+def s3_rate_slope(p_grid, epsilon: float, trials: int, rng: np.random.Generator) -> list[DofPoint]:
+    """Fano rate of s3 at user 3 against (1/2) log2 P, as ``DofPoint``s
+    whose ``ratio`` is the slope.
 
     The pair keeps the half-size 2 while s3's half-size grows as
-    P^((1-eps)/2), the one-degree-of-freedom scaling. User 3's gain is held
-    at one (the degrees-of-freedom claim is per realization), and the noise
-    variance is one. Decoding is end to end, pair first and then the
-    residual, so error propagation is included. Frames are drawn S3_CHUNK
-    at a time. Every power must exceed 1 (0 dB), where (1/2) log2 P, the
-    slope's divisor, is positive; the grid is checked before the first draw.
+    P^((1-eps)/2), ``constellation_size_for_power`` at one degree of
+    freedom. User 3's gain is held at one (the degrees-of-freedom claim is
+    per realization), and the noise variance is one. Decoding is end to
+    end, pair first and then the residual, so error propagation is
+    included. Frames are drawn S3_CHUNK at a time. Every power must exceed
+    1 (0 dB); the grid and ``epsilon`` are checked before the first draw.
     """
     p_grid = np.asarray(p_grid, dtype=float)
-    if not np.all(p_grid > 1.0):
-        raise ValueError("the s3 rate slope needs every power above 0 dB: (1/2) log2 P must be positive")
+    sizes = [constellation_size_for_power(p, epsilon, dof=1) for p in p_grid]
     out = []
-    for p in p_grid:
-        q3 = max(1, int(round(p ** ((1.0 - epsilon) / 2.0))))
+    for p, q3 in zip(p_grid, sizes):
         pair_const = constellation_for_power(p, 2)
         s3_const = constellation_for_power(p, q3)
         errors = 0
@@ -96,6 +95,5 @@ def s3_rate_slope(p_grid, epsilon: float, trials: int, rng: np.random.Generator)
             s3_hat = multicast_decode(y, h, pair_const, s3_const)[:, 2]
             errors += int(np.sum(s3_hat != s[:, 2]))
         pe = errors / trials
-        bound = fano_rate_lower_bound(pe, q3)
-        out.append((float(p), bound / (0.5 * np.log2(p))))
+        out.append(DofPoint(p=float(p), q_s=q3, pe=pe, fano_bound=fano_rate_lower_bound(pe, q3)))
     return out

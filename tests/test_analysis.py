@@ -278,14 +278,9 @@ class TestDminExhaustive:
     def test_positive_on_continuous_channels(self):
         """Generic draws keep the minimum distance strictly positive."""
         const = model.constellation_for_power(1.0, 8)
-        rep = analysis.dmin_probe(const, 100_000, np.random.default_rng(17), k=4)
-        assert rep.floor > 0.0
-        assert rep.samples == 100_000
-
-    def test_report_statistics(self):
-        rep = analysis.DminReport(q_s=2, samples=4, dmin2_scaled=np.array([4.0, 1.0, 9.0, 16.0]))
-        assert rep.floor == 1.0
-        assert rep.median == pytest.approx(6.5)
+        d2 = analysis.dmin_probe(const, 100_000, np.random.default_rng(17), k=4)
+        assert d2.shape == (100_000,)
+        assert np.min(d2) > 0.0
 
 
 class TestDofSlope:
@@ -295,6 +290,18 @@ class TestDofSlope:
         assert analysis.constellation_size_for_power(10.0, 0.999) == 1
         with pytest.raises(ValueError):
             analysis.constellation_size_for_power(1e6, 0.0)
+        for p in (1.0, 0.5, float("nan")):
+            with pytest.raises(ValueError, match="0 dB"):
+                analysis.constellation_size_for_power(p, 0.1)
+
+    def test_one_law_for_both_dof_claims(self):
+        """The pair's law at 1/2 DoF is round(P^((1-eps)/4)) bit for bit,
+        and multicast's s3 law at one DoF is round(P^((1-eps)/2))."""
+        rng = np.random.default_rng(31)
+        for p, eps in zip(10.0 ** rng.uniform(0.01, 9.0, 2000), rng.uniform(1e-6, 1.0 - 1e-6, 2000)):
+            assert analysis.constellation_size_for_power(p, eps) == max(1, int(round(p ** ((1.0 - eps) / 4.0))))
+            assert analysis.constellation_size_for_power(p, eps, dof=1) == max(1, int(round(p ** ((1.0 - eps) / 2.0))))
+        assert analysis.constellation_size_for_power(1e6, 0.2, dof=1) == 251
 
     def test_ratio_nondecreasing_over_decades(self):
         rng = np.random.default_rng(19)

@@ -340,6 +340,18 @@ def test_stream_keys_differ_beyond_trailing_zeros(experiment, monkeypatch):
     np.testing.assert_array_equal(same[0], same[2])
 
 
+def test_stream_ids_are_pinned():
+    """Each experiment's stream id in ``_rng`` is its place in ``_RUNNERS``.
+    Reordering that dict would move every CSV, while the byte-identity tests
+    cover only the benchmark's workloads, so the ids are pinned here."""
+    assert harness._EXP_ID == {"ser": 0, "rate": 1, "dmin": 2, "dof": 3, "multicast": 4}
+    for experiment, exp_id in harness._EXP_ID.items():
+        cfg = harness.ExperimentConfig(experiment, seed=7)
+        np.testing.assert_array_equal(
+            harness._rng(cfg, 1, 2).random(3), np.random.default_rng([7, exp_id, 1, 2]).random(3)
+        )
+
+
 class TestRateSweep:
     def test_floor_matches_capacity_algebra(self):
         """normalized = 1 - 1/C reproduces exactly from the bound column C - 1."""
@@ -597,6 +609,17 @@ class TestCliEndToEnd:
         res = self.run_cli(*args, "--trials", "10", "--out", str(out))
         assert res.returncode == 1
         assert res.stderr.startswith("idsim: error:") and "[-100, 300] dB" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
+
+    def test_unallocatable_snr_grid_exits_nonzero(self, tmp_path):
+        """0:1e-15:300 asks for 3e17 grid points, 2.08 EiB, more than any
+        address space, so the allocation fails at once without touching
+        memory; the run stops with a message, not a traceback."""
+        out = tmp_path / "out.csv"
+        res = self.run_cli("ser", "--snr-db", "0:1e-15:300", "--trials", "10", "--out", str(out))
+        assert res.returncode == 1
+        assert res.stderr.startswith("idsim: error:") and "allocate" in res.stderr
         assert "Traceback" not in res.stderr
         assert not out.exists()
 

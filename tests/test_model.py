@@ -1,6 +1,8 @@
 """Tests for constellations, channel draws, noise, and power accounting."""
 
+import importlib
 import inspect
+import pkgutil
 
 import numpy as np
 import pytest
@@ -188,13 +190,21 @@ class TestNoise:
             harness.ExperimentConfig("ser", sigma2=-1.0)
 
     def test_no_function_takes_a_noise_variance(self):
-        """Noise variance is one everywhere: no public callable, nor the
-        likelihood kernel, takes it, and the decoders take no power either;
-        the likelihood reads the interferers' power off the alphabet."""
-        funcs = [getattr(idsim, name) for name in idsim.__all__ if callable(getattr(idsim, name))]
-        funcs.append(core.ml_metric_matrix)
+        """Noise variance is one everywhere: no public function or class of
+        any module takes it, and the decoders take no power either; the
+        likelihood reads the interferers' power off the alphabet."""
+        modules = [importlib.import_module(f"idsim.{m.name}") for m in pkgutil.iter_modules(idsim.__path__)]
+        funcs = [
+            f
+            for mod in modules
+            for name, f in vars(mod).items()
+            if not name.startswith("_") and getattr(f, "__module__", None) == mod.__name__
+            and (inspect.isfunction(f) or (inspect.isclass(f) and not issubclass(f, Exception)))
+        ]
         params = {f.__qualname__: inspect.signature(f).parameters for f in funcs}
-        assert "pair_decode" in params and "frame_decode" in params
+        for name in ("pair_decode", "frame_decode", "ml_metric_matrix", "weight_matrix", "argmin_metric",
+                     "dmin_batch", "multicast_observe", "ExperimentConfig"):
+            assert name in params
         assert [name for name, ps in params.items() if "sigma2" in ps] == []
         assert "p" not in params["pair_decode"] and "p" not in params["frame_decode"]
 

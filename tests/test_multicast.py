@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from idsim import model, multicast
+from idsim import analysis, model, multicast
 
 
 ALPHA = multicast.ALPHA
@@ -121,12 +121,31 @@ class TestThroughputAndSlope:
     def test_s3_slope_rises_with_power(self):
         rng = np.random.default_rng(11)
         res = multicast.s3_rate_slope([1e2, 1e4], 0.2, trials=2000, rng=rng)
-        assert res[1][1] > res[0][1]
+        assert res[1].ratio > res[0].ratio
 
     def test_s3_slope_near_one_at_large_power(self):
         rng = np.random.default_rng(13)
         res = multicast.s3_rate_slope([1e6], 0.2, trials=3000, rng=rng)
-        assert res[0][1] == pytest.approx(0.9, abs=0.06)
+        assert res[0].ratio == pytest.approx(0.9, abs=0.06)
+
+    def test_s3_points_follow_the_one_dof_law(self):
+        """Each point is a DofPoint at s3's half-size round(P^((1-eps)/2)),
+        with the Fano bound of its error rate."""
+        res = multicast.s3_rate_slope([1e2, 1e4], 0.2, trials=500, rng=np.random.default_rng(5))
+        assert all(isinstance(pt, analysis.DofPoint) for pt in res)
+        assert [pt.p for pt in res] == [1e2, 1e4]
+        assert [pt.q_s for pt in res] == [6, 40]
+        for pt in res:
+            assert pt.fano_bound == analysis.fano_rate_lower_bound(pt.pe, pt.q_s)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0, 1.5, -0.2, float("nan")])
+    def test_s3_slope_rejects_epsilon_outside_0_1_before_any_draw(self, epsilon):
+        """eps outside (0, 1) leaves no positive growth below one DoF; it is
+        rejected, as ``dof`` rejects it, before the first draw."""
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="epsilon"):
+            multicast.s3_rate_slope([1e2, 1e4], epsilon, trials=200, rng=rng)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     @pytest.mark.parametrize("p_grid", [[1.0, 0.5], [1e2, 1.0], [0.1], [float("nan")]])
     def test_s3_slope_rejects_powers_at_or_below_0db(self, p_grid):
