@@ -14,8 +14,17 @@ from .model import PamConstellation
 
 
 def mrc_effective_gain(g: np.ndarray):
-    """Beamforming gain of transmit MRC: ||g|| over the last axis."""
-    return np.sqrt(np.sum(np.asarray(g, dtype=float) ** 2, axis=-1))
+    """Beamforming gain of transmit MRC: ||g|| over the last axis.
+
+    The squares are added column by column, left to right: for up to 7
+    antennas that is the order ``np.sum`` takes, so the result is its bit
+    for bit, without the cost of its reduction one row at a time.
+    """
+    g = np.asarray(g, dtype=float)
+    sq = g[..., 0] * g[..., 0]
+    for j in range(1, g.shape[-1]):
+        sq += g[..., j] * g[..., j]
+    return np.sqrt(sq)
 
 
 def mrc_decode_batch(y: np.ndarray, gain: np.ndarray, const: PamConstellation) -> np.ndarray:

@@ -205,17 +205,17 @@ def weight_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, out=None
     return w
 
 
-# Smallest positive double. Clamping the likelihood denominator to it changes
-# only zero denominators; the numerator is zero there too, so the correction
-# is 0.
+# Smallest positive double. Clamping the two-gain likelihood denominator to it
+# changes only zero denominators; the numerator is zero there too, so the
+# correction is 0.
 _TINY = np.nextafter(0.0, 1.0)
 
 
-def _likelihood_candidates(cands: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _likelihood_candidates(cands: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The likelihood's candidate side: [1, ca^2, cb^2], the rotated
-    candidates [cb, -ca] and [ca^2, cb^2]."""
+    candidates [cb, -ca], [ca^2, cb^2] and, for the one-gain form, ||c||^2."""
     c_sq = _squares(cands)
-    return np.column_stack([np.ones(len(cands)), c_sq]), cands[:, ::-1] * [1.0, -1.0], c_sq
+    return np.column_stack([np.ones(len(cands)), c_sq]), cands[:, ::-1] * [1.0, -1.0], c_sq, c_sq[:, 0] + c_sq[:, 1]
 
 
 def ml_metric_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, interference_power: np.ndarray,
@@ -243,21 +243,43 @@ def ml_metric_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, inter
     scored in its place. The correction is even in the candidate, so each
     value is then the smaller metric of cand and -cand (``argmin_metric``).
     ``memo`` keeps the candidate-side operands as in ``weight_matrix``.
+
+    h_pair of shape (..., 1) is the one-gain form: both symbols ride the
+    gain h, and with u = y / h the values are
+
+        ||c||^2 - 2 <u, c> - I (u0 cb - u1 ca)^2 / (cb^2 + I ||c||^2),
+
+    the metric divided by h^2 minus the row constant ||u||^2, so every row
+    keeps its argmin. That is three products: (2u) @ cands^T, the odd part,
+    which ``fold`` holds in A's place (its sign is A's); (sqrt(I) u) @
+    [cb, -ca]^T, squared; and the denominator cb^2 + I ||c||^2, the
+    two-gain one at h = 1, [I, 1 + I] @ [ca^2, cb^2]^T. It is at least
+    cb^2, which is positive in a zero-free alphabet, so it needs no guard
+    against zero.
     """
     d_sq, proj, denom = out[:3] if out is not None else (None, None, None)
     ipow = np.asarray(interference_power, dtype=float)
-    h_sq = h_pair * h_pair
-    c_even, c_rot, c_sq = _operands(memo, _likelihood_candidates, cands)
-    y_even = np.concatenate([np.sum(y * y, axis=-1, keepdims=True), h_sq], axis=-1)
-    even = np.matmul(y_even, c_even.T, out=proj)
-    d_sq = _odd_part(y * h_pair, cands, d_sq, fold)
-    d_sq *= -2.0
-    d_sq += even
-    y_rot = np.sqrt(ipow)[..., None] * (y * h_pair[..., ::-1])
-    proj = np.matmul(y_rot, c_rot.T, out=proj)
+    c_even, c_rot, c_sq, norm_sq = _operands(memo, _likelihood_candidates, cands)
+    i_two = np.stack([ipow, 1.0 + ipow], axis=-1)
+    one_gain = h_pair.shape[-1] == 1
+    if one_gain:
+        y_rot = y / h_pair
+        d_sq = _odd_part(2.0 * y_rot, cands, d_sq, fold)
+        np.subtract(norm_sq, d_sq, out=d_sq)
+    else:
+        h_sq = h_pair * h_pair
+        y_even = np.concatenate([np.sum(y * y, axis=-1, keepdims=True), h_sq], axis=-1)
+        even = np.matmul(y_even, c_even.T, out=proj)
+        d_sq = _odd_part(y * h_pair, cands, d_sq, fold)
+        d_sq *= -2.0
+        d_sq += even
+        y_rot = y * h_pair[..., ::-1]
+        i_two = h_sq * i_two
+    proj = np.matmul(np.sqrt(ipow)[..., None] * y_rot, c_rot.T, out=proj)
     proj *= proj
-    denom = np.matmul(h_sq * np.stack([ipow, 1.0 + ipow], axis=-1), c_sq.T, out=denom)
-    np.maximum(denom, _TINY, out=denom)
+    denom = np.matmul(i_two, c_sq.T, out=denom)
+    if not one_gain:
+        np.maximum(denom, _TINY, out=denom)
     proj /= denom
     d_sq -= proj
     return d_sq
@@ -309,13 +331,14 @@ def argmin_metric(metric, y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, 
     The argmin j over the half names C//2 + j where odd > 0, else its
     antipode C//2 - 1 - j, the earlier one of a tied pair.
 
-    y and h_pair are (n, 2), and every array in ``args`` holds one value
-    per row and is sliced with them. The rows are scored in ``row_blocks``,
-    its buffers passed as ``out`` and, the last, ``fold``, with one ``memo``
-    per call, so no (n, C) array is built and the candidate-side operands
-    are built once. Each row is scored on its own, so the result is the
-    row-wise argmin of the whole (n, C) metric; only an exact tie between
-    two pairs goes to the pair whose back-half member comes first.
+    y is (n, 2) and h_pair (n, 2) or, for the one-gain forms, (n, 1);
+    every array in ``args`` holds one value per row and is sliced with
+    them. The rows are scored in ``row_blocks``, its buffers passed as
+    ``out`` and, the last, ``fold``, with one ``memo`` per call, so no
+    (n, C) array is built and the candidate-side operands are built once.
+    Each row is scored on its own, so the result is the row-wise argmin of
+    the whole (n, C) metric; only an exact tie between two pairs goes to the
+    pair whose back-half member comes first.
     """
     n, half = len(y), len(cands) // 2
     back = cands[half:]
@@ -341,13 +364,14 @@ def pair_decode(y, h, m, const, decoder=WEIGHT) -> np.ndarray:
     alphabet ``const``.
 
     ``WEIGHT`` takes the weight argmin over ``candidate_pairs(const)``.
-    Where the pair's two gain columns are equal, as for the ``dof``
-    prober, the multicast receivers and pair 1 at K >= 4 under the block
-    antenna map, it scores ``weight_matrix``'s one-gain form, each row the
-    weights divided by |h|, which keeps every row's argmin.
     ``ML`` at K > 2 takes the argmin of the full-covariance likelihood,
     which models the interferers as zero-mean with the alphabet's power
-    ``const.power`` each, since they are drawn from it. A tie within an
+    ``const.power`` each, since they are drawn from it. Where the pair's
+    two gain columns are equal, as for the ``dof`` prober, the multicast
+    receivers and pair 1 at K >= 4 under the block antenna map, both
+    rules score their metric's one-gain form (``weight_matrix``,
+    ``ml_metric_matrix``), whose rows are scaled and shifted copies of the
+    two-gain rows with the same argmin. A tie within an
     antipodal pair resolves to the first candidate; an exact tie between
     two pairs goes to the pair whose back-half member comes first
     (``argmin_metric``).
@@ -360,11 +384,8 @@ def pair_decode(y, h, m, const, decoder=WEIGHT) -> np.ndarray:
     """
     k = h.shape[-1]
     a, b = pair_members(k, m)
-    if decoder == WEIGHT and np.array_equal(h[:, a], h[:, b]):
-        h_pair = h[:, a : a + 1]
-    else:
-        # A view for the pairs of adjacent symbols; only odd K's last pair copies.
-        h_pair = h[:, a : b + 1] if b == a + 1 else h[:, [a, b]]
+    # A view for the pairs of adjacent symbols; only odd K's last pair copies.
+    h_pair = h[:, a : b + 1] if b == a + 1 else h[:, [a, b]]
     metric, args = weight_matrix, ()
     if decoder == ML:
         if k == 2:
@@ -373,6 +394,8 @@ def pair_decode(y, h, m, const, decoder=WEIGHT) -> np.ndarray:
         metric, args = ml_metric_matrix, (const.power * out_of_pair_sum(h**2, m),)
     elif decoder != WEIGHT:
         raise ValueError(f"unknown decoder {decoder!r}")
+    if np.array_equal(h_pair[:, 0], h_pair[:, 1]):
+        h_pair = h_pair[:, :1]
     cands = candidate_pairs(const)
     return cands[argmin_metric(metric, y, h_pair, cands, *args)]
 

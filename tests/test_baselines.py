@@ -17,6 +17,16 @@ class TestMrc:
         assert baselines.mrc_effective_gain(np.array([3.0, 4.0])) == pytest.approx(5.0)
         np.testing.assert_allclose(baselines.mrc_effective_gain(np.array([[3.0, 4.0], [-5.0, 12.0]])), [5.0, 13.0])
 
+    @pytest.mark.parametrize("antennas", range(1, 8))
+    def test_effective_gain_is_the_sum_of_squares_bit_for_bit(self, antennas):
+        """Adding the columns' squares left to right is ``np.sum``'s order for
+        up to 7 columns, so the gain equals its square root bit for bit, over
+        gains spread across 40 orders of magnitude."""
+        rng = np.random.default_rng([5, antennas])
+        g = rng.normal(size=(50_000, antennas)) * np.exp(rng.uniform(-46.0, 46.0, size=(50_000, antennas)))
+        np.testing.assert_array_equal(baselines.mrc_effective_gain(g), np.sqrt(np.sum(g**2, axis=-1)))
+        np.testing.assert_array_equal(baselines.mrc_effective_gain(g[0]), np.sqrt(np.sum(g[0] ** 2)))
+
     def test_batch_decision_is_nearest_point(self):
         """Each batched MRC decision is the alphabet point nearest y / ||g||."""
         rng = np.random.default_rng(4)

@@ -416,6 +416,27 @@ class TestArgminMetric:
             for buf, first in zip(*calls):
                 assert buf.__array_interface__["data"] == first.__array_interface__["data"]
 
+    def test_two_candidate_half_is_np_argmin_ties_included(self):
+        """At q_s = 1 the back half holds two candidates: the argmin equals
+        ``np.argmin`` of the folded scores, and a row with equal scores takes
+        index 0, then the fold sign's member."""
+        rng = RNG(79)
+        n = 5000
+        cands = core.candidate_pairs(model.constellation_for_power(1.0, 1))
+        scores = rng.integers(0, 3, size=(n, 2)).astype(float)
+        odd = rng.normal(size=(n, 2))
+
+        def metric(y, h_pair, back, rows, out, fold, memo):
+            fold[:] = odd[rows]
+            out[0][:] = scores[rows]
+            return out[0]
+
+        j = np.argmin(scores, axis=1)
+        tied = scores[:, 0] == scores[:, 1]
+        assert 0.2 < np.mean(tied) < 0.5 and np.all(j[tied] == 0)
+        got = core.argmin_metric(metric, np.zeros((n, 2)), np.ones((n, 2)), cands, np.arange(n))
+        np.testing.assert_array_equal(got, np.where(odd[np.arange(n), j] > 0, 2 + j, 1 - j))
+
     def test_fold_scores_the_better_of_each_antipodal_pair(self):
         """Given ``fold``, a kernel scores the back half with the smaller value
         of cand and -cand, and the sign of the odd part it writes there names
@@ -455,12 +476,19 @@ class TestBlockBuffers:
     """``argmin_metric``'s block buffers are one scratch array per thread,
     kept between calls."""
 
-    @pytest.mark.parametrize("decoder,k,q_s", [(core.WEIGHT, 2, 22), (core.ML, 4, 8)])
-    def test_threads_decoding_at_once_match_sequential_calls(self, decoder, k, q_s):
+    @pytest.mark.parametrize(
+        "decoder,k,q_s,one_gain",
+        [
+            pytest.param(core.WEIGHT, 2, 22, False, id="weight-2-22"),
+            pytest.param(core.ML, 4, 8, False, id="ml-4-8"),
+            pytest.param(core.ML, 4, 8, True, id="ml-4-8-one-gain"),
+        ],
+    )
+    def test_threads_decoding_at_once_match_sequential_calls(self, decoder, k, q_s, one_gain):
         """Two threads decode different frames at once, each several times,
         with a short switch interval: each gets its sequential decisions."""
         repeats = 4
-        inputs = [_decoder_inputs(61 + t, k, 2048, q_s) for t in range(2)]
+        inputs = [_decoder_inputs(61 + t, k, 2048, q_s, one_gain) for t in range(2)]
         expected = [core.pair_decode(y, h, 1, const, decoder) for const, y, h in inputs]
         results = [[], []]
         barrier = threading.Barrier(2)
@@ -487,17 +515,24 @@ class TestBlockBuffers:
             for decisions in got:
                 np.testing.assert_array_equal(decisions, want)
 
-    @pytest.mark.parametrize("one_gain", [False, True])
-    def test_repeat_decode_allocates_no_block_buffer(self, one_gain):
+    @pytest.mark.parametrize(
+        "decoder,k,one_gain",
+        [
+            pytest.param(core.WEIGHT, 2, False, id="False"),
+            pytest.param(core.WEIGHT, 2, True, id="True"),
+            pytest.param(core.ML, 4, True, id="ml-True"),
+        ],
+    )
+    def test_repeat_decode_allocates_no_block_buffer(self, decoder, k, one_gain):
         """A second ``pair_decode`` of 2048 rows at q_s = 22 reuses the first
         call's buffers: its peak allocation stays under one (rows, C/2) block
         buffer, 255.5 KiB, where four were allocated per call before."""
-        const, y, h = _decoder_inputs(67, 2, 2048, 22, one_gain)
-        core.pair_decode(y, h, 1, const)
+        const, y, h = _decoder_inputs(67, k, 2048, 22, one_gain)
+        core.pair_decode(y, h, 1, const, decoder)
         half = (2 * const.q_s) ** 2 // 2
         tracemalloc.start()
         try:
-            core.pair_decode(y, h, 1, const)
+            core.pair_decode(y, h, 1, const, decoder)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -552,15 +587,19 @@ def test_pair_decode_is_the_unfolded_argmin(seed, q_s, k, snr_db):
 
 
 def _record_gain_columns(monkeypatch) -> list:
-    """Wrap ``core.weight_matrix`` to record the gain columns of every call."""
+    """Wrap ``core.weight_matrix`` and ``core.ml_metric_matrix`` to record
+    the gain columns of every call."""
     seen = []
-    weight = core.weight_matrix
 
-    def recording(y, h_pair, cands, **kwargs):
-        seen.append(h_pair.shape[-1])
-        return weight(y, h_pair, cands, **kwargs)
+    def recorder(metric):
+        def recording(y, h_pair, cands, *args, **kwargs):
+            seen.append(h_pair.shape[-1])
+            return metric(y, h_pair, cands, *args, **kwargs)
 
-    monkeypatch.setattr(core, "weight_matrix", recording)
+        return recording
+
+    for name in ("weight_matrix", "ml_metric_matrix"):
+        monkeypatch.setattr(core, name, recorder(getattr(core, name)))
     return seen
 
 
@@ -610,13 +649,15 @@ class TestOneGainWeight:
             ("dof", {"k": 4}, {1}),
             ("ser", {"k": 4}, {1}),
             ("ser", {"k": 2}, {2}),
-            ("ser", {"k": 4, "decoder": core.ML}, set()),
+            ("ser", {"k": 4, "decoder": core.ML}, {1}),
+            ("ser", {"k": 3, "decoder": core.ML}, {2}),
         ],
     )
     def test_taken_by_the_sweeps_whose_pair_shares_a_gain(self, experiment, kw, widths, monkeypatch):
         """The multicast receivers, the dof prober and ``ser`` at K = 4 (the
         block antenna map puts pair 1 on one antenna) decode with one gain
-        column; ``ser`` at K = 2 keeps two, and ``ml`` scores no weight."""
+        column, with the weight and with the likelihood; ``ser`` at K = 2
+        and K = 3 keeps two."""
         seen = _record_gain_columns(monkeypatch)
         monkeypatch.setattr(harness, "usable_cores", lambda: 1)
         cfg = harness.ExperimentConfig(experiment=experiment, zeta_db_grid=np.array([10.0, 20.0]),
@@ -639,6 +680,47 @@ class TestOneGainWeight:
         seen.clear()
         core.pair_decode(y[:, :2], h, 1, const)
         assert set(seen) == {2}
+
+
+class TestOneGainLikelihood:
+    """h_pair of shape (n, 1): with u = y / h the kernel scores the
+    likelihood divided by h^2 minus ||u||^2, with the sign of the two-gain
+    odd part in ``fold``."""
+
+    @pytest.mark.parametrize("q_s", [1, 8, 32])
+    def test_is_the_two_gain_metric_over_h_squared_less_u_squared(self, q_s):
+        """Unfolded, and folded with and without ``out``: values agree to
+        1e-12 of the scale ||u||^2 + ||c||^2, and the fold signs are equal."""
+        rng = RNG(73, q_s)
+        p, n = 100.0, 300
+        const = model.constellation_for_power(p, q_s)
+        cands = core.candidate_pairs(const)
+        half = len(cands) // 2
+        h = model._signed_rayleigh(rng, n)
+        assert np.any(h < 0) and np.any(h > 0)
+        h_two = np.stack([h, h], axis=-1)
+        ipow = p * model._signed_rayleigh(rng, n) ** 2
+        _, y = core.dissolve(h_two, const.draw(rng, size=(n, 2)), rng.normal(scale=np.sqrt(ipow)))
+        y += rng.normal(size=(n, 2))
+        u_sq = np.sum((y / h[:, None]) ** 2, axis=1)[:, None]
+
+        def assert_shifted(one, two, c):
+            scale = u_sq + np.sum(c * c, axis=1)
+            assert np.all(np.abs(one - (two / (h * h)[:, None] - u_sq)) <= 1e-12 * scale)
+
+        metric = core.ml_metric_matrix
+        assert_shifted(metric(y, h[:, None], cands, ipow), metric(y, h_two, cands, ipow), cands)
+        back = cands[half:]
+        for with_out in (False, True):
+            folds = [np.empty((n, half)) for _ in range(2)]
+            res = []
+            for h_pair, fold in zip((h[:, None], h_two), folds):
+                out = [np.empty((n, half)) for _ in range(3)] if with_out else None
+                res.append(metric(y, h_pair, back, ipow, out=out, fold=fold))
+                if with_out:
+                    assert res[-1] is out[0]
+            assert_shifted(*res, back)
+            np.testing.assert_array_equal(np.sign(folds[0]), np.sign(folds[1]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -668,6 +750,39 @@ def test_one_gain_pair_decode_is_the_unfolded_two_gain_argmin(seed, q_s, k, snr_
     assert np.mean(clear) > 0.9
     hat = core.pair_decode(y, h, 1, const)
     np.testing.assert_array_equal(hat[clear], cands[np.argmin(w[clear], axis=1)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    q_s=st.sampled_from([1, 2, 8, 22]),
+    k=st.sampled_from([4, 5, 6]),
+    pair=st.integers(0, 2),
+    snr_db=st.floats(0.0, 60.0),
+)
+def test_one_gain_ml_pair_decode_is_the_unfolded_two_gain_argmin(seed, q_s, k, pair, snr_db):
+    """With equal gains on pair m, ``pair_decode(..., ML)`` (the one-gain
+    likelihood) picks the row-wise argmin of the unfolded two-gain
+    ``ml_metric_matrix`` over all C candidates, on every row whose best two
+    candidates are apart by more than rounding. At K = 5 pair 3 is (s_5, s_1)."""
+    rng = RNG(seed)
+    p, n = 10.0 ** (snr_db / 10.0), 32
+    m = 1 + pair % core.num_pairs(k)
+    a, b = core.pair_members(k, m)
+    const = model.constellation_for_power(p, q_s)
+    cands = core.candidate_pairs(const)
+    h = model._signed_rayleigh(rng, (n, k))
+    h[:, b] = h[:, a]
+    _, y = core.frame_observe(h, const.draw(rng, size=(n, k)))
+    y = y[:, [0, m]] + rng.normal(size=(n, 2))
+    ipow = const.power * core.out_of_pair_sum(h**2, m)
+    d = core.ml_metric_matrix(y, h[:, [a, b]], cands, ipow)
+    best, second = np.partition(d, 1, axis=1)[:, :2].T
+    scale = np.sum(y * y, axis=1) + h[:, a] ** 2 * np.max(np.sum(cands**2, axis=1))
+    clear = second - best > 1e-9 * scale
+    assert np.mean(clear) > 0.9
+    hat = core.pair_decode(y, h, m, const, core.ML)
+    np.testing.assert_array_equal(hat[clear], cands[np.argmin(d[clear], axis=1)])
 
 
 @settings(max_examples=40, deadline=None)
