@@ -12,11 +12,12 @@ Examples:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
-from . import harness
+from . import core, harness
 
 
 def parse_snr_grid(text: str) -> np.ndarray:
@@ -40,34 +41,32 @@ def parse_snr_grid(text: str) -> np.ndarray:
 
 
 # Each subcommand takes only the options its experiment reads, besides
-# --trials, --seed, --out and --emit-plot-data: option -> default. dof needs
-# every power above 0 dB, so its grid starts higher; dmin needs interferers,
-# so its frame has four symbols.
+# --trials, --seed, --out and --emit-plot-data: dest -> default, each dest an
+# ExperimentConfig field or snr_db. dof needs every power above 0 dB, so its
+# grid starts higher; dmin needs interferers, so its frame has four symbols.
 _SUBCOMMANDS = {
     "ser": ("symbol-error-rate sweep: ID vs MRC MISO vs successive decoding",
-            {"k": 2, "qs": 2, "snr_db": "0:2:30", "decoder": "weight"}),
+            {"k": 2, "q_s": 2, "snr_db": "0:2:30", "decoder": core.WEIGHT}),
     "rate": ("normalized achievable-rate sweep with floor and Fano curves",
-             {"k": 2, "qs": 2, "snr_db": "0:2:30", "decoder": "weight"}),
-    "dmin": ("scaled minimum-distance probe over doubling constellation sizes", {"k": 4, "qs": 2}),
+             {"k": 2, "q_s": 2, "snr_db": "0:2:30", "decoder": core.WEIGHT}),
+    "dmin": ("scaled minimum-distance probe over doubling constellation sizes", {"k": 4, "q_s": 2}),
     "dof": ("degrees-of-freedom sweep with power-scaled constellations",
             {"k": 2, "snr_db": "20:10:60", "epsilon": 0.1}),
-    "multicast": ("three-user multicast SER sweep", {"qs": 2, "snr_db": "0:2:30"}),
+    "multicast": ("three-user multicast SER sweep", {"q_s": 2, "snr_db": "0:2:30"}),
 }
-# Option dest -> ExperimentConfig field.
-_CONFIG_FIELDS = {"k": "k", "qs": "q_s", "decoder": "decoder", "epsilon": "epsilon", "trials": "trials", "seed": "seed"}
 
 
 def _add_options(sub: argparse.ArgumentParser, defaults: dict) -> None:
     if "k" in defaults:
         sub.add_argument("--k", type=int, default=defaults["k"], help="number of symbols per frame (default: %(default)s)")
-    if "qs" in defaults:
-        sub.add_argument("--qs", type=int, default=defaults["qs"], help="constellation half-size")
+    if "q_s" in defaults:
+        sub.add_argument("--qs", dest="q_s", metavar="QS", type=int, default=defaults["q_s"], help="constellation half-size")
     if "snr_db" in defaults:
         sub.add_argument("--snr-db", default=defaults["snr_db"], help="zeta grid in dB, start:step:stop (default: %(default)s)")
     sub.add_argument("--trials", type=int, default=100_000, help="Monte Carlo trials per grid point")
     sub.add_argument("--seed", type=int, default=harness.DEFAULT_SEED, help="master seed")
     if "decoder" in defaults:
-        sub.add_argument("--decoder", choices=["weight", "ml"], default=defaults["decoder"])
+        sub.add_argument("--decoder", choices=[core.WEIGHT, core.ML], default=defaults["decoder"])
     sub.add_argument("--out", default=None, help="output CSV path (default: stdout)")
     sub.add_argument("--emit-plot-data", action="store_true", help="add normalized plot columns")
     if "epsilon" in defaults:
@@ -86,10 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     opts = vars(build_parser().parse_args(argv))
     try:
-        fields = {field: opts[dest] for dest, field in _CONFIG_FIELDS.items() if dest in opts}
+        fields = {f.name: opts[f.name] for f in dataclasses.fields(harness.ExperimentConfig) if f.name in opts}
         if "snr_db" in opts:
             fields["zeta_db_grid"] = parse_snr_grid(opts["snr_db"])
-        cfg = harness.ExperimentConfig(experiment=opts["experiment"], **fields)
+        cfg = harness.ExperimentConfig(**fields)
         rows = harness.run_experiment(cfg)
         harness.write_csv(rows, opts["out"], opts["emit_plot_data"])
     except (ValueError, OSError, MemoryError, harness.WorkerError) as exc:

@@ -46,6 +46,13 @@ def pair_members(k: int, m: int) -> tuple[int, int]:
     return k - 1, 0
 
 
+def _pair_columns(k: int, m: int):
+    """Pair m's columns of a (..., K) array: a slice, so a view, for adjacent
+    members; only odd K's last pair needs a copy."""
+    a, b = pair_members(k, m)
+    return slice(a, b + 1) if b == a + 1 else [a, b]
+
+
 def chunk_sizes(total: int, chunk: int):
     """Sizes of the consecutive chunks, at most ``chunk`` each, that make up ``total``."""
     for start in range(0, total, chunk):
@@ -95,12 +102,10 @@ def frame_observe(h: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     if h.shape != s.shape:
         raise ValueError(f"gains {h.shape} and symbols {s.shape} differ in shape")
     k = s.shape[-1]
-    ms = range(1, num_pairs(k) + 1)
     hs = h * s
-    interference = np.stack([out_of_pair_sum(hs, m) for m in ms], axis=-1)
-    idx = [pair_members(k, m) for m in ms]
-    beta, y = dissolve(h[..., idx], s[..., idx], interference)
-    return beta, np.concatenate([y[..., :1, 0], y[..., 1]], axis=-1)
+    cols = [_pair_columns(k, m) for m in range(1, num_pairs(k) + 1)]
+    betas, ys = zip(*(dissolve(h[..., c], s[..., c], out_of_pair_sum(hs, m)) for m, c in enumerate(cols, 1)))
+    return np.stack(betas, axis=-1), np.stack([ys[0][..., 0], *(y[..., 1] for y in ys)], axis=-1)
 
 
 def candidate_pairs(const: PamConstellation) -> np.ndarray:
@@ -383,9 +388,7 @@ def pair_decode(y, h, m, const, decoder=WEIGHT) -> np.ndarray:
     downward, unlike the argmin's rule above.
     """
     k = h.shape[-1]
-    a, b = pair_members(k, m)
-    # A view for the pairs of adjacent symbols; only odd K's last pair copies.
-    h_pair = h[:, a : b + 1] if b == a + 1 else h[:, [a, b]]
+    h_pair = h[:, _pair_columns(k, m)]
     metric, args = weight_matrix, ()
     if decoder == ML:
         if k == 2:

@@ -23,7 +23,7 @@ import os
 import pickle
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,20 +40,6 @@ N_ANTENNAS = 2
 # products of a few signal-scale terms, stay about 200 decades below the
 # double overflow at 1.8e308.
 SNR_DB_RANGE = (-100.0, 300.0)
-
-CSV_COLUMNS = [
-    "experiment",
-    "scheme",
-    "zeta_db",
-    "trials",
-    "ser",
-    "ser_stderr",
-    "rate_bits_per_use",
-    "normalized_rate",
-    "bound_value",
-    "tx_power_use2",
-]
-PLOT_COLUMNS = ["zeta_linear", "log10_ser"]
 
 
 def usable_cores() -> int:
@@ -104,21 +90,22 @@ class ExperimentConfig:
 
 @dataclass
 class SweepRow:
+    """One CSV row: its fields, in order, are the CSV's columns."""
+
     experiment: str
     scheme: str
     zeta_db: float | None
     trials: int
     ser: float | None = None
+    ser_stderr: float | None = field(init=False, default=None)
     rate_bits_per_use: float | None = None
     normalized_rate: float | None = None
     bound_value: float | None = None
     tx_power_use2: float | None = None
 
-    @property
-    def ser_stderr(self) -> float | None:
-        if self.ser is None:
-            return None
-        return float(np.sqrt(self.ser * (1.0 - self.ser) / self.trials))
+    def __post_init__(self) -> None:
+        if self.ser is not None:
+            self.ser_stderr = float(np.sqrt(self.ser * (1.0 - self.ser) / self.trials))
 
     @property
     def zeta_linear(self) -> float | None:
@@ -127,6 +114,10 @@ class SweepRow:
     @property
     def log10_ser(self) -> float | None:
         return None if not self.ser else float(np.log10(self.ser))
+
+
+CSV_COLUMNS = [f.name for f in fields(SweepRow)]
+PLOT_COLUMNS = ["zeta_linear", "log10_ser"]
 
 
 def _rng(cfg: ExperimentConfig, *path: int) -> np.random.Generator:
@@ -405,9 +396,9 @@ def run_dof_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     points = analysis.dof_slope(p_grid, cfg.epsilon, cfg.trials, rng, k=cfg.k)
     slope = analysis.dof_growth_slope(points) if len(points) >= 2 else None
     rows = []
-    for i, pt in enumerate(points):
+    for i, (zdb, pt) in enumerate(zip(cfg.zeta_db_grid, points)):
         rows.append(
-            SweepRow(cfg.experiment, "dof", float(10.0 * np.log10(pt.p)), cfg.trials,
+            SweepRow(cfg.experiment, "dof", float(zdb), cfg.trials,
                      ser=pt.pe, rate_bits_per_use=pt.fano_bound, normalized_rate=pt.ratio,
                      bound_value=slope if i == len(points) - 1 else None)
         )

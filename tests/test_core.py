@@ -553,6 +553,16 @@ def test_block_budget_is_read_only_in_core():
     assert not hasattr(harness, "_alphabet")
 
 
+def test_decoder_names_are_spelled_only_in_core():
+    """The decoding rules are named once, ``core.WEIGHT`` and ``core.ML``:
+    every other module refers to those constants."""
+    names = re.compile(r"""["'](weight|ml)["']""")
+    modules = {path.name: path.read_text() for path in Path(core.__file__).parent.glob("*.py")}
+    assert set(names.findall(modules.pop("core.py"))) == {"weight", "ml"}
+    assert "cli.py" in modules and "harness.py" in modules
+    assert {name: names.findall(text) for name, text in modules.items() if names.search(text)} == {}
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),

@@ -1,5 +1,7 @@
 """Tests for the sweep harness, CSV schema, and the command-line interface."""
 
+import argparse
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -428,6 +430,14 @@ class TestDminAndDofSweeps:
         assert all(r.bound_value is None for r in rows[:-1])
         np.testing.assert_allclose([r.zeta_db for r in rows], [20.0, 30.0, 40.0])
 
+    def test_dof_rows_keep_the_grid_values(self):
+        """A dof row's SNR is the grid's value itself, not one recovered from
+        its power: 10 log10(10^(z / 10)) differs from z in the last bit for
+        these two."""
+        grid = [10.6, 20.3]
+        rows = harness.run_dof_sweep(small_cfg(experiment="dof", k=4, trials=300, zeta_db_grid=grid))
+        assert [r.zeta_db for r in rows] == grid
+
     def test_multicast_rows(self):
         cfg = small_cfg(experiment="multicast", trials=500, zeta_db_grid=[10.0])
         rows = harness.run_multicast(cfg)
@@ -452,6 +462,16 @@ class TestDminAndDofSweeps:
 
 
 class TestCsv:
+    def test_columns_are_the_row_fields(self):
+        """The CSV's columns are SweepRow's fields in order, the header the
+        benchmark's reference CSVs were recorded with; a row without an SER
+        has no standard error."""
+        assert harness.CSV_COLUMNS == [f.name for f in dataclasses.fields(harness.SweepRow)]
+        with open(os.path.join(BENCH_DIR, "reference", "ser-2pam_seed12345.csv"), encoding="utf-8") as fh:
+            assert fh.readline() == ",".join(harness.CSV_COLUMNS) + "\n"
+        row = harness.SweepRow("rate", "gaussian_floor", 10.0, 100, ser=None, bound_value=1.0)
+        assert row.ser_stderr is None
+
     def test_header_and_shape(self):
         rows = harness.run_ser_sweep(small_cfg())
         text = harness.rows_to_csv(rows)
@@ -510,6 +530,18 @@ def test_benchmark_csv_is_byte_identical_to_its_reference(workload, seed, tmp_pa
     assert cli.main([*workloads.WORKLOADS[workload].argv(seed), "--out", str(out)]) == 0
     with open(os.path.join(BENCH_DIR, "reference", f"{workload}_seed{seed}.csv"), "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+def test_every_option_names_a_config_field():
+    """Each subcommand's options store under ExperimentConfig's field names,
+    besides the ones ``main`` reads itself."""
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    config_fields = {f.name for f in dataclasses.fields(harness.ExperimentConfig)}
+    assert set(subs) == set(cli._SUBCOMMANDS)
+    for name, sub in subs.items():
+        dests = {a.dest for a in sub._actions} - {"help", "snr_db", "out", "emit_plot_data"}
+        assert dests <= config_fields, name
 
 
 class TestCliEndToEnd:
