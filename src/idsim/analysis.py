@@ -111,6 +111,12 @@ def dmin_batch(s_true: np.ndarray, interference: np.ndarray, h: np.ndarray, cons
     return d2**2
 
 
+def check_dmin_frame(k: int) -> None:
+    """Reject a ``dmin_probe`` frame without interferers, k < 3."""
+    if k < 3:
+        raise ValueError(f"dmin needs k >= 3: with k={k} beta = 1 and the common-gain pair has a zero-weight ghost")
+
+
 def dmin_probe(const: PamConstellation, draws: int, rng: np.random.Generator, k: int = 4) -> np.ndarray:
     """Samples (draws,) of the scaled minimum distance d_min^2 q_s^2 / (h^2 a_s^2)
     of ``const``'s candidate pairs over random channels and symbols.
@@ -120,8 +126,7 @@ def dmin_probe(const: PamConstellation, draws: int, rng: np.random.Generator, k:
     The scaled distance does not depend on the alphabet's power. Draws are
     taken DMIN_CHUNK at a time.
     """
-    if k < 3:
-        raise ValueError(f"dmin needs k >= 3: with k={k} beta = 1 and the common-gain pair has a zero-weight ghost")
+    check_dmin_frame(k)
     scaled = []
     for n in core.chunk_sizes(draws, DMIN_CHUNK):
         h = _signed_rayleigh(rng, n)

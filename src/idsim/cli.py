@@ -12,7 +12,9 @@ Examples:
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import os
 import sys
 
 import numpy as np
@@ -82,8 +84,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# mallopt(3): setting M_TRIM_THRESHOLD to -1 stops glibc from giving the
+# freed top of the heap back to the kernel. By default it does so past
+# 128 KiB, so every sweep chunk faulted its 64-256 KiB temporaries in again
+# (256-320 minor faults per 8192-row ser chunk). The idsim command owns its
+# process, and its forked workers inherit the setting; importing idsim leaves
+# the allocator alone. A C library without mallopt (macOS, Windows) keeps its
+# own policy.
+_M_TRIM_THRESHOLD = -1  # the parameter's number in glibc's malloc.h
+
+
+def _keep_freed_heap() -> None:
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_TRIM_THRESHOLD, -1)
+
+
 def main(argv=None) -> int:
     opts = vars(build_parser().parse_args(argv))
+    _keep_freed_heap()
     try:
         fields = {f.name: opts[f.name] for f in dataclasses.fields(harness.ExperimentConfig) if f.name in opts}
         if "snr_db" in opts:

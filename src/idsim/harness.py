@@ -372,6 +372,7 @@ def run_rate_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
 
 def run_dmin_probe(cfg: ExperimentConfig) -> list[SweepRow]:
     """Scaled minimum-distance floors for half-sizes doubling up to q_s, at unit power."""
+    analysis.check_dmin_frame(cfg.k)
     points = []
     q = 2
     while q <= max(2, cfg.q_s):

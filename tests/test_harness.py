@@ -3,7 +3,9 @@
 import argparse
 import dataclasses
 import importlib
+import mmap
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -574,10 +576,15 @@ class TestCliEndToEnd:
         col = lines[0].split(",").index("bound_value")
         assert all(float(line.split(",")[col]) > 0 for line in lines[1:])
 
-    def test_dmin_without_interferers_exits_nonzero(self, capsys):
-        """K = 2 has no interferers, so beta = 1 and the floor is a zero-weight ghost."""
-        assert cli.main(["dmin", "--k", "2", "--trials", "10"]) == 1
-        assert "k >= 3" in capsys.readouterr().err
+    def test_dmin_without_interferers_exits_nonzero(self, capsys, monkeypatch):
+        """K = 2 has no interferers, so beta = 1 and the floor is a zero-weight ghost.
+        It fails before any work: with --qs 8 there are three half-size tasks
+        to fork for, and none is started."""
+        monkeypatch.setattr(harness, "usable_cores", lambda: 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        for qs in ("2", "8"):
+            assert cli.main(["dmin", "--k", "2", "--qs", qs, "--trials", "10"]) == 1
+            assert "k >= 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "args",
@@ -764,6 +771,73 @@ class TestBlasThreads:
     def test_callers_count_kept(self, var):
         expected = "2" if var == "OMP_NUM_THREADS" else "None"
         assert self.omp_threads_after_import(**{var: "2"}) == expected
+
+
+# One 8192-row float64 column, 64 KiB, is 16 pages of 4 KiB. A ser chunk's
+# temporaries are some twenty such columns, so the allocator faulting them in
+# again costs hundreds of pages per chunk: 256-320 for ``ser --k 2 --qs 1``
+# under glibc's default trim threshold.
+COLUMN_PAGES = harness.CHUNK * 8 // mmap.PAGESIZE
+
+
+def run_python(code: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter; return its standard output's words."""
+    res = subprocess.run([sys.executable, "-c", code], env=subprocess_env(os.environ),
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    return res.stdout.split()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt and trim policy")
+def test_cli_keeps_freed_heap_and_library_does_not():
+    """After a warm run, a second identical ``ser --k 2 --qs 1`` run on one
+    worker faults in fewer pages than one column's per chunk through
+    ``cli.main``, whose allocator keeps the freed heap, and at least that many
+    through ``harness.run_experiment`` alone, since ``import idsim`` leaves
+    glibc's trim threshold as it is. The library runs first: once ``cli.main``
+    has run, the process keeps its heap."""
+    chunks = 8
+    code = (
+        "import os, resource\n"
+        "from idsim import harness\n"
+        "harness.usable_cores = lambda: 1\n"
+        "def second_run_faults(run):\n"
+        "    run()\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    run()\n"
+        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        f"cfg = harness.ExperimentConfig('ser', k=2, q_s=1, zeta_db_grid=[0.0], trials={chunks} * harness.CHUNK)\n"
+        "second_run_faults(lambda: harness.run_experiment(cfg))\n"
+        "from idsim import cli\n"
+        "argv = ['ser', '--k', '2', '--qs', '1', '--snr-db', '0', '--trials', str(cfg.trials), '--out', os.devnull]\n"
+        "second_run_faults(lambda: cli.main(argv))\n"
+    )
+    library, command = map(int, run_python(code))
+    assert library >= chunks * COLUMN_PAGES, (library, command)
+    assert command < chunks * COLUMN_PAGES, (library, command)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_peak_rss_does_not_grow_with_trials():
+    """Memory stays bounded as --trials grows, also with the freed heap kept:
+    ``ser --k 2 --qs 1`` on one worker peaks within 2 MiB at N and 16 N
+    trials. One chunk's temporaries take about 1.2 MiB, and one float64 per
+    trial at 16 N would take 6.1 MiB."""
+    n = 50_000
+
+    def peak_kib(trials):
+        code = (
+            "import os, resource\n"
+            "from idsim import cli, harness\n"
+            "harness.usable_cores = lambda: 1\n"
+            f"assert cli.main(['ser', '--k', '2', '--qs', '1', '--snr-db', '0:10:20', '--trials', '{trials}', "
+            "'--out', os.devnull]) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        return int(run_python(code)[0])
+
+    small, large = peak_kib(n), peak_kib(16 * n)
+    assert large - small < 2 * 1024, (small, large)
 
 
 # Invalid values of each flag, as (subcommand, flag, value, exit code): 1 for
