@@ -44,7 +44,11 @@ def _successive_decode_batch(
     h_first = np.where(first_is_1, h1, h2)
     h_second = np.where(first_is_1, h2, h1)
     s_first = const.nearest(y / h_first)
-    s_second = const.nearest((y - h_first * s_first) / h_second)
-    s1_hat = np.where(first_is_1, s_first, s_second)
-    s2_hat = np.where(first_is_1, s_second, s_first)
-    return np.column_stack([s1_hat, s2_hat])
+    residual = h_first * s_first
+    np.subtract(y, residual, out=residual)
+    residual /= h_second
+    s_second = const.nearest(residual)
+    hat = np.empty((len(y), 2))
+    hat[:, 0] = np.where(first_is_1, s_first, s_second)
+    hat[:, 1] = np.where(first_is_1, s_second, s_first)
+    return hat

@@ -18,7 +18,7 @@ import threading
 
 import numpy as np
 
-from .model import PamConstellation, constellation_for_power
+from .model import SMALLEST_POSITIVE, PamConstellation, constellation_for_power
 
 WEIGHT = "weight"
 ML = "ml"
@@ -60,11 +60,21 @@ def chunk_sizes(total: int, chunk: int):
 
 
 def out_of_pair_sum(x: np.ndarray, m: int) -> np.ndarray:
-    """Sum of ``x[..., k]`` over the symbols k outside pair m."""
+    """Sum of ``x[..., k]`` over the symbols k outside pair m.
+
+    Up to 7 columns are added one by one onto zeros, ``np.sum``'s order, so
+    the result is its bit for bit without its reduction one row at a time;
+    from 8 on ``np.sum`` adds pairwise, in another order, and is kept.
+    """
     k = x.shape[-1]
-    mask = np.ones(k, dtype=bool)
-    mask[list(pair_members(k, m))] = False
-    return np.sum(x[..., mask], axis=-1)
+    pair = pair_members(k, m)
+    rest = [j for j in range(k) if j not in pair]
+    if len(rest) > 7:
+        return np.sum(x[..., rest], axis=-1)
+    total = np.zeros(x.shape[:-1])
+    for j in rest:
+        total += x[..., j]
+    return total
 
 
 def dissolve(h_pair: np.ndarray, s_pair: np.ndarray, interference) -> tuple[np.ndarray, np.ndarray]:
@@ -96,7 +106,7 @@ def frame_observe(h: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     dissolution factors beta, shape (n, M), and the 1 + M channel uses y,
     shape (n, 1 + M): the shared first use (pair 1's), then one second use
     per pair in pair order. Pair m is decoded from ``y[:, [0, m]]``. Noise
-    is the caller's, at unit variance: one ``rng.normal(0, 1, y.shape)``
+    is the caller's, at unit variance: one ``rng.standard_normal(y.shape)``
     draws it for the shared use first, then for each second use when n = 1.
     """
     if h.shape != s.shape:
@@ -210,11 +220,6 @@ def weight_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, out=None
     return w
 
 
-# Smallest positive double. Clamping the two-gain likelihood denominator to it
-# changes only zero denominators; the numerator is zero there too, so the
-# correction is 0.
-_TINY = np.nextafter(0.0, 1.0)
-
 
 def _likelihood_candidates(cands: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The likelihood's candidate side: [1, ca^2, cb^2], the rotated
@@ -284,7 +289,9 @@ def ml_metric_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, inter
     proj *= proj
     denom = np.matmul(i_two, c_sq.T, out=denom)
     if not one_gain:
-        np.maximum(denom, _TINY, out=denom)
+        # Clamping to the smallest positive double changes only zero
+        # denominators; the numerator is zero there too, so the correction is 0.
+        np.maximum(denom, SMALLEST_POSITIVE, out=denom)
     proj /= denom
     d_sq -= proj
     return d_sq
@@ -354,7 +361,13 @@ def argmin_metric(metric, y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, 
     for block, (*out, fold) in row_blocks(n, half):
         part = [a[block] for a in args]
         scores = metric(y[block], h_pair[block], back, *part, out=out, fold=fold, memo=memo)
-        np.argmin(scores, axis=1, out=idx[block])
+        if half == 2:
+            # q_s = 1: over two columns np.argmin picks 1 exactly where s1 < s0,
+            # 0 on a tie. They differ only on NaN, which no metric value is on
+            # harness.SNR_DB_RANGE.
+            np.less(scores[:, 1], scores[:, 0], out=idx[block])
+        else:
+            np.argmin(scores, axis=1, out=idx[block])
         if starts is None:
             starts = np.arange(len(fold)) * half
         np.take(fold, starts[: len(fold)] + idx[block], out=odd[block], mode="clip")

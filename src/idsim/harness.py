@@ -263,8 +263,8 @@ def _id_frame_batch(cfg, const, n, rng):
     h, g = model.draw_channels(cfg.k, N_ANTENNAS, n, rng)
     s = const.draw(rng, size=(n, cfg.k))
     beta, y = core.dissolve(h[:, :2], s[:, :2], core.out_of_pair_sum(h * s, 1))
-    y[:, 0] += rng.normal(0.0, 1.0, n)
-    y[:, 1] += rng.normal(0.0, 1.0, n)
+    # Column 0's n draws, then column 1's.
+    y += rng.standard_normal((2, n)).T
     return h, g, s, beta, y
 
 
@@ -275,7 +275,7 @@ def _id_decode_batch(cfg, const, h, y):
 
 def _pair_errors(hat: np.ndarray, s: np.ndarray) -> int:
     """Symbol errors of decoded pairs ``hat`` against the first two columns of ``s``."""
-    return int(np.sum(hat[:, 0] != s[:, 0]) + np.sum(hat[:, 1] != s[:, 1]))
+    return int(np.count_nonzero(hat != s[:, :2]))
 
 
 def _ser_chunk(cfg, point, rng, n):
@@ -290,10 +290,10 @@ def _ser_chunk(cfg, point, rng, n):
 
     sm = const2p.draw(rng, size=n)
     gn = baselines.mrc_effective_gain(g)
-    ym = gn * sm + rng.normal(0.0, 1.0, n)
-    mrc_err = int(np.sum(baselines.mrc_decode_batch(ym, gn, const2p) != sm))
+    ym = gn * sm + rng.standard_normal(n)
+    mrc_err = int(np.count_nonzero(baselines.mrc_decode_batch(ym, gn, const2p) != sm))
 
-    ysu = h[:, 0] * s[:, 0] + h[:, 1] * s[:, 1] + rng.normal(0.0, 1.0, n)
+    ysu = h[:, 0] * s[:, 0] + h[:, 1] * s[:, 1] + rng.standard_normal(n)
     succ_err = _pair_errors(baselines._successive_decode_batch(ysu, h[:, 0], h[:, 1], const), s)
     return id_err, mrc_err, succ_err, power2
 

@@ -17,6 +17,9 @@ EPS_GAIN = 1e-3
 # Rayleigh scale for unit mean-square gain: E[R^2] = 2*scale^2 = 1.
 _RAYLEIGH_SCALE = 1.0 / np.sqrt(2.0)
 
+# The smallest positive double, 5e-324.
+SMALLEST_POSITIVE = np.nextafter(0.0, 1.0)
+
 
 @dataclass
 class PamConstellation:
@@ -54,14 +57,21 @@ class PamConstellation:
     def nearest(self, x) -> np.ndarray:
         """Nearest alphabet point(s) to ``x`` (ties resolve to the lower point).
 
-        The nearest integer level with ties down is ceil(x / a_s - 0.5). It
-        is clipped to [1, q_s] for x > 0 and to [-q_s, -1] otherwise, which
-        maps level 0 to the nearer of +-1 (-1 at x = 0).
+        The nearest integer level with ties down is ceil(t - 0.5), t = x / a_s,
+        clipped to [1, q_s] for t > 0 and to [-q_s, -1] otherwise, which maps
+        level 0 to the nearer of +-1 (-1 at x = 0). In place, that is
+        clip(|ceil(t - 0.5)|, 1, q_s) with the sign of t - 5e-324, which is
+        negative at t = +-0.0 and t's elsewhere. A scalar ``x`` gives a scalar.
         """
-        t = np.asarray(x, dtype=float) / self.a_s
-        level = np.ceil(t - 0.5)
-        level = np.where(t > 0, np.clip(level, 1, self.q_s), np.clip(level, -self.q_s, -1))
-        return self.a_s * level
+        t = np.divide(x, self.a_s, out=np.empty(np.shape(x)))
+        level = np.subtract(t, 0.5, out=np.empty_like(t))
+        np.ceil(level, out=level)
+        np.abs(level, out=level)
+        np.clip(level, 1, self.q_s, out=level)
+        t -= SMALLEST_POSITIVE
+        np.copysign(level, t, out=level)
+        level *= self.a_s
+        return level[()]
 
 
 def amplitude_for_power(p: float, q_s: int) -> float:
@@ -91,8 +101,8 @@ def _signed_rayleigh(rng: np.random.Generator, size) -> np.ndarray:
     while np.any(bad):
         mag[bad] = rng.rayleigh(scale=_RAYLEIGH_SCALE, size=int(bad.sum()))
         bad = mag < EPS_GAIN
-    sign = rng.integers(0, 2, size=size) * 2 - 1
-    return mag * sign
+    # copysign(mag, b - 0.5) is mag * (2b - 1) for the random bit b, as mag > 0.
+    return np.copysign(mag, rng.integers(0, 2, size=size) - 0.5)
 
 
 def symbol_antenna_map(k: int, n: int) -> np.ndarray:

@@ -43,7 +43,7 @@ def multicast_observe(x: np.ndarray, h: np.ndarray, rng: np.random.Generator | N
     """
     y = np.asarray(h)[..., None] * x
     if rng is not None:
-        y += rng.normal(0.0, 1.0, size=y.shape)
+        y += rng.standard_normal(y.shape)
     return y
 
 

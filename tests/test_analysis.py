@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from idsim import analysis, core, model
+from idsim import analysis, core, harness, model
 
 
 class TestCapacity:
@@ -85,6 +85,43 @@ class TestCapacityGap:
         rng = np.random.default_rng(9)
         margin = analysis.capacity_gap_margin(*model.draw_channels(4, 2, 1, rng), 10.0)
         assert np.isfinite(margin)
+
+    def test_k2_margin_is_at_least_half_a_bit(self):
+        """At K = 2, R = (1/2) log2(1 + P G) and C = (1/2) log2(1 + 2 P G) on
+        the same gains G = sum g^2, so C - R = (1/2) log2((1 + 2PG) / (1 + PG))
+        < 1/2 and the margin 1 - (C - R) exceeds 1/2 at every power. Checked
+        every 5 dB across the whole SNR range, up to 300 dB, where the margin
+        reaches 1/2 in double precision. Rounding allowance 1e-12: each log2
+        term is below 120 bits there, so each rounds by under 1e-13."""
+        lo, hi = harness.SNR_DB_RANGE
+        h, g = model.draw_channels(2, 2, 2000, np.random.default_rng(17))
+        margins = np.array([analysis.capacity_gap_margin(h, g, 10.0 ** (zdb / 10.0))
+                            for zdb in np.arange(lo, hi + 5.0, 5.0)])
+        assert margins.min() >= 0.5 - 1e-12
+        assert np.all(margins[-1] <= 0.5 + 1e-12)
+
+    @pytest.mark.parametrize("gains", [(0.8, 1.3), (-1.7, 0.2)])
+    @pytest.mark.parametrize("k", [3, 4, 6, 10])
+    def test_pre_log_is_m_over_m_plus_one(self, gains, k):
+        """For K >= 3 every pair's rate is log2(1 + P S) - (1/2) log2(1 + 2 P S_m)
+        with S_m > 0, so it grows as one (1/2) log2 P, and ``rate_total``
+        spreads the M = ceil(K/2) pairs over M + 1 uses: its slope against
+        (1/2) log2 P, the capacity's, tends to M / (M + 1). Measured between
+        60 and 90 dB on fixed gains g (K > 2 symbols share the two antennas).
+        Tolerance, from the channel, not fitted: the terms log2(1 + 1/(P a))
+        left over, 0 to 1/(P a ln 2), move the slope by at most
+        sum_m (1/S + 1/(4 S_m)) / (P_60 ln 2 (M + 1) dx), dx the 60-90 dB
+        step in (1/2) log2 P, plus 1e-12 for rounding."""
+        m = core.num_pairs(k)
+        h = np.array(gains)[model.symbol_antenna_map(k, 2)]
+        p_lo, p_hi = 1e6, 1e9
+        dx = 0.5 * np.log2(p_hi / p_lo)
+        slope = (analysis.rate_total(h, p_hi) - analysis.rate_total(h, p_lo)) / dx
+        s_all = np.sum(h**2)
+        left = sum(1.0 / s_all + 1.0 / (4.0 * core.out_of_pair_sum(h**2, j)) for j in range(1, m + 1))
+        tol = left / (p_lo * np.log(2.0) * (m + 1) * dx) + 1e-12
+        assert tol < 1e-5
+        assert abs(slope - m / (m + 1)) <= tol
 
     def test_batch_rows_match_single_channels(self):
         """A (count, K) batch gives each row the margin of that channel alone."""

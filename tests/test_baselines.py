@@ -70,6 +70,18 @@ class TestMrc:
         assert all(b <= a for a, b in zip(sers, sers[1:]))
 
 
+def successive_reference(y, h1, h2, const):
+    """The successive decoder's earlier formula, kept as its oracle: each
+    selection a ``np.where``, the residual out of place, and the two
+    decisions joined by ``np.column_stack``."""
+    first_is_1 = np.abs(h1) >= np.abs(h2)
+    h_first = np.where(first_is_1, h1, h2)
+    h_second = np.where(first_is_1, h2, h1)
+    s_first = const.nearest(y / h_first)
+    s_second = const.nearest((y - h_first * s_first) / h_second)
+    return np.column_stack([np.where(first_is_1, s_first, s_second), np.where(first_is_1, s_second, s_first)])
+
+
 def successive_noiseless(s1, s2, h1, h2, const):
     """Successive decisions on the noiseless superpositions h1 s1 + h2 s2."""
     s1, s2 = np.atleast_1d(s1), np.atleast_1d(s2)
@@ -94,6 +106,28 @@ class TestSuccessive:
         const = model.PamConstellation(1.0, 2)
         # y = 0.1*1 + 10*2 = 20.1; stage 1 on h2: 2.0; residual 0.1 -> s1 = 1.
         np.testing.assert_array_equal(successive_noiseless(1.0, 2.0, 0.1, 10.0, const), [[1.0, 2.0]])
+
+    @pytest.mark.parametrize("q_s", [1, 2, 8])
+    @pytest.mark.parametrize("snr_db", [0.0, 20.0, 40.0])
+    def test_is_its_earlier_formula_bit_for_bit(self, q_s, snr_db):
+        """On noisy observations over random channels, a fifth of them with
+        |h1| == |h2| of equal or opposite signs, the decisions equal the
+        earlier formula's, sign bits included, and the inputs are not written."""
+        rng = np.random.default_rng([89, q_s, int(snr_db)])
+        n = 5000
+        const = model.constellation_for_power(10.0 ** (snr_db / 10.0), q_s)
+        h = model._signed_rayleigh(rng, (n, 2))
+        tied = rng.random(n) < 0.2
+        h[tied, 1] = h[tied, 0] * rng.choice([-1.0, 1.0], size=int(tied.sum()))
+        s = const.draw(rng, size=(n, 2))
+        y = np.sum(h * s, axis=1) + rng.standard_normal(n)
+        kept = y.copy(), h.copy()
+        got = baselines._successive_decode_batch(y, h[:, 0], h[:, 1], const)
+        ref = successive_reference(y, h[:, 0], h[:, 1], const)
+        assert got.shape == (n, 2)
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+        np.testing.assert_array_equal(y, kept[0])
+        np.testing.assert_array_equal(h, kept[1])
 
     def test_error_floor_at_high_snr(self):
         """Rayleigh-averaged SER stays above 1e-2 even at 40 dB, and the

@@ -1,5 +1,6 @@
 """Tests for dissolution precoding, the weight decoder, and the ML oracles."""
 
+import inspect
 import re
 import sys
 import threading
@@ -124,6 +125,24 @@ class TestPairing:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             core.pair_members(4, 3)
+
+    @pytest.mark.parametrize("k", range(2, 15))
+    def test_out_of_pair_sum_is_np_sum_bit_for_bit(self, k):
+        """For 0 to 12 columns outside the pair the sum equals ``np.sum`` over
+        them, the formula it replaced, to the last bit and in the sign of
+        zero, on values spread over 60 orders of magnitude with signed
+        zeros among them; a single channel (K,) gives its 0-d sum."""
+        rng = RNG(83, k)
+        x = rng.normal(size=(4096, k)) * 10.0 ** rng.uniform(-30, 30, size=(4096, k))
+        x[rng.random(x.shape) < 0.1] = -0.0
+        x[:8] = -0.0
+        for m in range(1, core.num_pairs(k) + 1):
+            mask = np.ones(k, dtype=bool)
+            mask[list(core.pair_members(k, m))] = False
+            got = core.out_of_pair_sum(x, m)
+            assert got.shape == (4096,)
+            np.testing.assert_array_equal(got.view(np.int64), np.sum(x[:, mask], axis=-1).view(np.int64))
+            assert np.float64(core.out_of_pair_sum(x[9], m)).view(np.int64) == np.sum(x[9, mask]).view(np.int64)
 
 
 class TestCandidatePairs:
@@ -417,13 +436,14 @@ class TestArgminMetric:
                 assert buf.__array_interface__["data"] == first.__array_interface__["data"]
 
     def test_two_candidate_half_is_np_argmin_ties_included(self):
-        """At q_s = 1 the back half holds two candidates: the argmin equals
-        ``np.argmin`` of the folded scores, and a row with equal scores takes
-        index 0, then the fold sign's member."""
+        """At q_s = 1 the back half holds two candidates, decided by one strict
+        comparison: the argmin equals ``np.argmin`` of the folded scores, and
+        a row with equal scores, +0.0 against -0.0 and inf against inf
+        among them, takes index 0, then the fold sign's member."""
         rng = RNG(79)
         n = 5000
         cands = core.candidate_pairs(model.constellation_for_power(1.0, 1))
-        scores = rng.integers(0, 3, size=(n, 2)).astype(float)
+        scores = rng.choice([-0.0, 0.0, 1.0, 2.0, np.inf], size=(n, 2))
         odd = rng.normal(size=(n, 2))
 
         def metric(y, h_pair, back, rows, out, fold, memo):
@@ -551,6 +571,23 @@ def test_block_budget_is_read_only_in_core():
     assert "harness.py" in modules and "analysis.py" in modules
     assert {name: names.findall(text) for name, text in modules.items() if names.search(text)} == {}
     assert not hasattr(harness, "_alphabet")
+
+
+def test_unit_noise_is_drawn_only_with_standard_normal():
+    """Unit-variance noise is ``rng.standard_normal``. numpy's ``normal(0.0,
+    1.0, n)`` is 0.0 + 1.0 * z over the same ``standard_normal`` stream, one
+    more pass, and equal to z but for z = -0.0 (about 2^-54 per draw), which
+    it makes +0.0: added to a nonzero observation, either gives the same
+    bits. No module calls ``.normal(``, and the sweeps' noise draws, in
+    ``harness``, ``multicast`` and ``analysis._pair_error_rate``, use
+    ``standard_normal``."""
+    from idsim import analysis
+
+    modules = {path.name: path.read_text() for path in Path(core.__file__).parent.glob("*.py")}
+    assert "harness.py" in modules and "multicast.py" in modules
+    assert {name: text.count(".normal(") for name, text in modules.items() if ".normal(" in text} == {}
+    for text in (modules["harness.py"], modules["multicast.py"], inspect.getsource(analysis._pair_error_rate)):
+        assert "rng.standard_normal(" in text
 
 
 def test_decoder_names_are_spelled_only_in_core():

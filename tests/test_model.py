@@ -16,6 +16,33 @@ SEED_MOMENTS = 2001
 SEED_REPRO = 77
 
 
+def nearest_reference(const, x):
+    """The slicer's earlier formula, kept as its oracle: the level
+    ceil(t - 0.5), t = x / a_s, clipped to [1, q_s] where t > 0 and to
+    [-q_s, -1] elsewhere, times a_s."""
+    t = np.asarray(x, dtype=float) / const.a_s
+    level = np.ceil(t - 0.5)
+    level = np.where(t > 0, np.clip(level, 1, const.q_s), np.clip(level, -const.q_s, -1))
+    return const.a_s * level
+
+
+def signed_rayleigh_reference(rng, size):
+    """``_signed_rayleigh``'s earlier formula, kept as its oracle: the same
+    draws, with the sign applied as mag * (2b - 1) in int64 arithmetic."""
+    mag = rng.rayleigh(scale=model._RAYLEIGH_SCALE, size=size)
+    bad = mag < model.EPS_GAIN
+    while np.any(bad):
+        mag[bad] = rng.rayleigh(scale=model._RAYLEIGH_SCALE, size=int(bad.sum()))
+        bad = mag < model.EPS_GAIN
+    return mag * (rng.integers(0, 2, size=size) * 2 - 1)
+
+
+def same_bits(a, b) -> bool:
+    """Equal values and sign bits, element by element (and equal shapes)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 class TestPamConstellation:
     def test_smallest_alphabet(self):
         """a_s=1, q_s=1 gives the antipodal pair {-1, +1}."""
@@ -89,6 +116,32 @@ class TestPamConstellation:
         for m in mids:
             assert const.nearest(m) == self.nearest_by_argmin(const, m)
 
+    @pytest.mark.parametrize("a_s", [1.0, 0.37, 3.1e-3, 2.0**600])
+    @pytest.mark.parametrize("q_s", [1, 2, 8, 90])
+    def test_nearest_is_its_earlier_formula_bit_for_bit(self, a_s, q_s):
+        """The in-place slicer gives the earlier formula's values and sign
+        bits: at +-0.0, where both give -a_s, at +-5e-324, which a_s > 1
+        divides to +-0.0, at +-inf and +-1e300, at every multiple
+        of a_s / 2 out to q_s + 1, midpoints included, and on random inputs,
+        as arrays of any shape and as scalars. The input is not written."""
+        const = model.PamConstellation(a_s, q_s)
+        tiny = np.nextafter(0.0, 1.0)
+        special = [0.0, -0.0, tiny, -tiny, 2 * tiny, np.inf, -np.inf, 1e300, -1e300, 1e-300, -1e-300]
+        grid = a_s * np.arange(-2 * q_s - 2, 2 * q_s + 3) / 2.0
+        grid = np.concatenate([grid, np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf)])
+        rand = np.random.default_rng([q_s, 11]).normal(scale=2.0 * a_s * q_s, size=3000)
+        x = np.concatenate([special, grid, rand])
+        kept = x.copy()
+        assert same_bits(const.nearest(x), nearest_reference(const, x))
+        assert same_bits(x, kept)
+        strided = x[: len(x) // 2 * 2].reshape(-1, 2)[::-1].T
+        assert same_bits(const.nearest(strided), nearest_reference(const, strided))
+        assert same_bits(const.nearest(list(x[:5])), nearest_reference(const, x[:5]))
+        for v in special + list(grid[::7]):
+            got = const.nearest(v)
+            assert isinstance(got, np.float64) and same_bits(got, nearest_reference(const, v))
+        assert same_bits([const.nearest(0.0), const.nearest(-0.0)], [-a_s, -a_s])
+
 
 class TestAmplitudeForPower:
     def test_unit_power_antipodal(self):
@@ -134,6 +187,18 @@ class TestChannelDraws:
         rng = np.random.default_rng(SEED_MOMENTS)
         h = model._signed_rayleigh(rng, 200_000)
         assert np.mean(h > 0) == pytest.approx(0.5, abs=0.01)
+
+    @pytest.mark.parametrize("eps_gain", [model.EPS_GAIN, 0.5])
+    @pytest.mark.parametrize("size", [(), 7, (4096, 2), (300, 3)])
+    def test_signed_rayleigh_is_its_earlier_formula_bit_for_bit(self, monkeypatch, eps_gain, size):
+        """The gains equal mag * (2b - 1) on the same stream, value and sign
+        bit, and the stream is left at the same place; a threshold of 0.5
+        makes the resampling loop run. Size () gives a scalar."""
+        monkeypatch.setattr(model, "EPS_GAIN", eps_gain)
+        rng, ref_rng = np.random.default_rng(SEED_REPRO), np.random.default_rng(SEED_REPRO)
+        got, ref = model._signed_rayleigh(rng, size), signed_rayleigh_reference(ref_rng, size)
+        assert type(got) is type(ref) and same_bits(got, ref)
+        assert rng.random() == ref_rng.random()
 
     def test_deep_fades_resampled(self):
         rng = np.random.default_rng(SEED_MOMENTS)
