@@ -217,7 +217,7 @@ def _pair_error_rate(
         _, y = core.dissolve(h_pair, s[:, :2], s[:, 2:] @ g_int)
         y += rng.standard_normal((n, 2))
         hat = core.pair_decode(y, np.broadcast_to(h_pair, (n, 2)), 1, const)
-        errors += int(np.sum((hat[:, 0] != s[:, 0]) | (hat[:, 1] != s[:, 1])))
+        errors += int(np.count_nonzero((hat[:, 0] != s[:, 0]) | (hat[:, 1] != s[:, 1])))
     return errors / trials
 
 

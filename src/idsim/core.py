@@ -81,13 +81,25 @@ def dissolve(h_pair: np.ndarray, s_pair: np.ndarray, interference) -> tuple[np.n
     """Noiseless dissolution of a batch of pairs: the factor and both observations.
 
     h_pair, s_pair: (..., 2) gains and symbols of the pair (a, b), broadcast
-    against each other; interference: (...,) out-of-pair sum I of h_k s_k.
+    against each other; interference: (...,) out-of-pair sum I of h_k s_k,
+    or None where the frame has no other symbol (K = 2).
     Returns beta = 1 + I / (h_b s_b), shape (...,), and
     y = [h_a s_a + h_b s_b + I, h_b s_b - beta h_a s_a], shape (..., 2).
+    A zero h_b s_b raises ValueError, as beta divides by it.
+
+    With no interference nothing is divided: beta = 1 and
+    y = [v_a + v_b, v_b - v_a], v = h s, I = 0's values bit for bit wherever
+    those do not raise, since 1 + 0 / v_b = 1, 1 h_a = h_a, and adding +0.0
+    changes only -0.0, which v_a + v_b is not where v_b != 0.
     """
     h_a, h_b = h_pair[..., 0], h_pair[..., 1]
     s_a, s_b = s_pair[..., 0], s_pair[..., 1]
     v_a, v_b = h_a * s_a, h_b * s_b
+    if interference is None:
+        y = np.empty(v_a.shape + (2,))
+        np.add(v_a, v_b, out=y[..., 0])
+        np.subtract(v_b, v_a, out=y[..., 1])
+        return np.ones(v_a.shape), y
     if np.any(v_b == 0.0):
         raise ValueError("dissolution divides by h_b * s_b = 0 (degenerate input)")
     beta = 1.0 + interference / v_b

@@ -262,9 +262,10 @@ def _id_frame_batch(cfg, const, n, rng):
     """One chunk of frames: channel, symbols, and pair-1 observations."""
     h, g = model.draw_channels(cfg.k, N_ANTENNAS, n, rng)
     s = const.draw(rng, size=(n, cfg.k))
-    beta, y = core.dissolve(h[:, :2], s[:, :2], core.out_of_pair_sum(h * s, 1))
-    # Column 0's n draws, then column 1's.
-    y += rng.standard_normal((2, n)).T
+    beta, y = core.dissolve(h[:, :2], s[:, :2], core.out_of_pair_sum(h * s, 1) if cfg.k > 2 else None)
+    # Column 0's n draws, then column 1's, added along y's columns: as
+    # y += noise.T, numpy would loop over rows of two, at twice the cost.
+    np.add(y.T, rng.standard_normal((2, n)), out=y.T)
     return h, g, s, beta, y
 
 
@@ -415,7 +416,7 @@ def _multicast_chunk(cfg, const, rng, n):
     for u in range(3):
         y = multicast.multicast_observe(x, gains[:, u], rng)
         s_hat = multicast.multicast_decode(y, gains[:, u], const, const)
-        errors.append(int(np.sum(s_hat[:, u] != s[:, u])))
+        errors.append(int(np.count_nonzero(s_hat[:, u] != s[:, u])))
     return errors
 
 

@@ -62,8 +62,13 @@ class PamConstellation:
         level 0 to the nearer of +-1 (-1 at x = 0). In place, that is
         clip(|ceil(t - 0.5)|, 1, q_s) with the sign of t - 5e-324, which is
         negative at t = +-0.0 and t's elsewhere. A scalar ``x`` gives a scalar.
+        At q_s = 1 that level is 1 for every t but NaN, so the point is a_s
+        signed by t - 5e-324, and a NaN t, which fails t == t, stays NaN.
         """
         t = np.divide(x, self.a_s, out=np.empty(np.shape(x)))
+        if self.q_s == 1:
+            t -= SMALLEST_POSITIVE
+            return np.copysign(self.a_s, t, out=t, where=t == t)[()]
         level = np.subtract(t, 0.5, out=np.empty_like(t))
         np.ceil(level, out=level)
         np.abs(level, out=level)
@@ -126,11 +131,17 @@ def draw_channels(k: int, n: int, count: int, rng: np.random.Generator):
     ``symbol_antenna_map``: with ``k <= n`` the first ``k`` antenna gains,
     with ``k > n`` blocks of symbols sharing an antenna, so ``sum h^2``
     exceeds ``sum g^2``. One channel is ``count = 1``.
+
+    At ``k <= n``, ``h`` is row-major like ``g``: a view of g's first ``k``
+    columns where they are contiguous, as at ``k == n``, so writing one
+    writes the other, else a copy. At ``k > n`` it is a column-major copy,
+    as fancy indexing makes it: ``np.sum`` over 8 or more of its columns
+    rounds differently in row-major order.
     """
     if k < 2:
         raise ValueError(f"need at least two symbols, got k={k}")
     if n < 2:
         raise ValueError(f"need at least two antennas, got n={n}")
     g = _signed_rayleigh(rng, (count, n))
-    h = g[:, symbol_antenna_map(k, n)]
+    h = np.ascontiguousarray(g[:, :k]) if k <= n else g[:, symbol_antenna_map(k, n)]
     return h, g

@@ -93,7 +93,7 @@ def s3_rate_slope(p_grid, epsilon: float, trials: int, rng: np.random.Generator)
             h = np.ones(n)
             y = multicast_observe(multicast_precode(s)[1], h, rng)
             s3_hat = multicast_decode(y, h, pair_const, s3_const)[:, 2]
-            errors += int(np.sum(s3_hat != s[:, 2]))
+            errors += int(np.count_nonzero(s3_hat != s[:, 2]))
         pe = errors / trials
         out.append(DofPoint(p=float(p), q_s=q3, pe=pe, fano_bound=fano_rate_lower_bound(pe, q3)))
     return out

@@ -104,6 +104,39 @@ class TestDissolve:
             hat = cands[core.argmin_metric(core.weight_matrix, y, h[:, ab], cands)]
             np.testing.assert_array_equal(hat, s[:, ab])
 
+    @staticmethod
+    def bits(x):
+        return np.asarray(x, dtype=float).view(np.int64)
+
+    @pytest.mark.parametrize("q_s", [1, 4])
+    def test_no_interference_is_zero_interference_bit_for_bit(self, q_s):
+        """Without interference, beta and y equal those of an explicit +0.0
+        interference, values and sign bits, on random pairs with a quarter
+        of them cancelling in the first use (h_a s_a = -h_b s_b, so its
+        observation is +0.0), for a broadcast gain pair and for one pair."""
+        rng = RNG(31, q_s)
+        n = 4000
+        h = model._signed_rayleigh(rng, (n, 2))
+        s = model.constellation_for_power(10.0, q_s).draw(rng, size=(n, 2))
+        cancel = rng.random(n) < 0.25
+        h[cancel, 1] = h[cancel, 0] * rng.choice([-1.0, 1.0], size=int(cancel.sum()))
+        s[cancel, 1] = -s[cancel, 0] * np.sign(h[cancel, 0] * h[cancel, 1])
+        for args in ((h, s), (np.array([0.7, -1.3]), s), (h[0], s[0]), (h.reshape(40, 100, 2), s.reshape(40, 100, 2))):
+            beta, y = core.dissolve(*args, None)
+            ref_beta, ref_y = core.dissolve(*args, np.zeros(np.shape(args[1])[:-1]))
+            assert beta.shape == ref_beta.shape and y.shape == ref_y.shape
+            np.testing.assert_array_equal(self.bits(beta), self.bits(ref_beta))
+            np.testing.assert_array_equal(self.bits(y), self.bits(ref_y))
+        y = core.dissolve(h, s, None)[1]
+        assert np.all(y[cancel, 0] == 0.0) and not np.any(np.signbit(y[cancel, 0]))
+
+    def test_no_interference_divides_by_nothing(self):
+        """Only the form with interference divides by h_b s_b, and only it raises on 0."""
+        beta, y = core.dissolve(np.array([2.0, 1.0]), np.array([1.0, 0.0]), None)
+        assert beta == 1.0 and list(y) == [2.0, -2.0]
+        with pytest.raises(ValueError):
+            core.dissolve(np.array([2.0, 1.0]), np.array([1.0, 0.0]), 0.0)
+
 
 class TestPairing:
     def test_even_pairs(self):

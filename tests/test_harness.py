@@ -534,6 +534,33 @@ def test_benchmark_csv_is_byte_identical_to_its_reference(workload, seed, tmp_pa
         assert out.read_bytes() == fh.read()
 
 
+# Small runs off the benchmark's paths, recorded in tests/data before the
+# two-PAM chunk's exact rewrites: the weight and K = 2 `ml` decoders at
+# q_s = 2, the likelihood at odd K on the block antenna map, the rate sweep
+# at K = 2 and at K = 10 (whose out-of-pair sums take np.sum's pairwise
+# path), the dof prober and the dmin probe.
+RECORDED_RUNS = {
+    "ser_k2_qs2_weight": ["ser", "--k", "2", "--qs", "2", "--snr-db", "0:10:30", "--trials", "20000"],
+    "ser_k2_qs2_ml": ["ser", "--k", "2", "--qs", "2", "--decoder", "ml", "--snr-db", "0:10:30", "--trials", "20000"],
+    "ser_k5_qs4_ml": ["ser", "--k", "5", "--qs", "4", "--decoder", "ml", "--snr-db", "0:10:30", "--trials", "12000"],
+    "rate_k2_qs1": ["rate", "--k", "2", "--qs", "1", "--snr-db", "0:10:30", "--trials", "20000"],
+    "rate_k10": ["rate", "--k", "10", "--snr-db", "0:10:30", "--trials", "12000"],
+    "dof_k4": ["dof", "--k", "4", "--trials", "8000"],
+    "dmin_qs16": ["dmin", "--qs", "16", "--trials", "4000"],
+}
+DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_RUNS))
+def test_recorded_csv_is_byte_identical(name, tmp_path, monkeypatch):
+    """Each recorded run, on one worker, gives its CSV in tests/data byte for byte."""
+    monkeypatch.setattr(harness, "usable_cores", lambda: 1)
+    out = tmp_path / "run.csv"
+    assert cli.main([*RECORDED_RUNS[name], "--out", str(out)]) == 0
+    with open(os.path.join(DATA_DIR, f"{name}.csv"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
 def test_every_option_names_a_config_field():
     """Each subcommand's options store under ExperimentConfig's field names,
     besides the ones ``main`` reads itself."""

@@ -121,12 +121,13 @@ class TestPamConstellation:
     def test_nearest_is_its_earlier_formula_bit_for_bit(self, a_s, q_s):
         """The in-place slicer gives the earlier formula's values and sign
         bits: at +-0.0, where both give -a_s, at +-5e-324, which a_s > 1
-        divides to +-0.0, at +-inf and +-1e300, at every multiple
+        divides to +-0.0, at +-inf and +-1e300, at +-NaN, which stays NaN
+        (at q_s = 1 too, where every other t gives +-a_s), at every multiple
         of a_s / 2 out to q_s + 1, midpoints included, and on random inputs,
         as arrays of any shape and as scalars. The input is not written."""
         const = model.PamConstellation(a_s, q_s)
         tiny = np.nextafter(0.0, 1.0)
-        special = [0.0, -0.0, tiny, -tiny, 2 * tiny, np.inf, -np.inf, 1e300, -1e300, 1e-300, -1e-300]
+        special = [0.0, -0.0, tiny, -tiny, 2 * tiny, np.inf, -np.inf, 1e300, -1e300, 1e-300, -1e-300, np.nan, -np.nan]
         grid = a_s * np.arange(-2 * q_s - 2, 2 * q_s + 3) / 2.0
         grid = np.concatenate([grid, np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf)])
         rand = np.random.default_rng([q_s, 11]).normal(scale=2.0 * a_s * q_s, size=3000)
@@ -141,6 +142,7 @@ class TestPamConstellation:
             got = const.nearest(v)
             assert isinstance(got, np.float64) and same_bits(got, nearest_reference(const, v))
         assert same_bits([const.nearest(0.0), const.nearest(-0.0)], [-a_s, -a_s])
+        assert np.isnan(const.nearest(np.nan)) and np.isnan(const.nearest(x)).sum() == 2
 
 
 class TestAmplitudeForPower:
@@ -210,6 +212,22 @@ class TestChannelDraws:
         (h,), (g,) = model.draw_channels(3, 5, 1, np.random.default_rng(1))
         np.testing.assert_array_equal(h, g[:3])
         assert np.sum(h**2) <= np.sum(g**2)
+
+    @pytest.mark.parametrize("k,n", [(2, 2), (4, 4), (3, 5), (3, 2), (4, 2), (10, 2), (100, 2)])
+    @pytest.mark.parametrize("count", [1, 9])
+    def test_symbol_gains_are_the_mapped_antenna_gains(self, k, n, count):
+        """h is g[:, symbol_antenna_map(k, n)] on every draw. At k <= n it is
+        row-major, and a view of g at k == n; at k > n it is the fancy
+        index's own column-major copy, the layout whose np.sum over 8 or
+        more columns the recorded ``rate --k 10`` sweep was summed in."""
+        h, g = model.draw_channels(k, n, count, np.random.default_rng([k, n, count]))
+        ref = g[:, model.symbol_antenna_map(k, n)]
+        assert same_bits(h, ref)
+        if k <= n:
+            assert h.flags.c_contiguous
+            assert np.shares_memory(h, g) == (k == n or count == 1)
+        else:
+            assert h.flags.f_contiguous and not np.shares_memory(h, g)
 
     def test_shared_antenna_mapping(self):
         """With k > n symbols share antennas block-wise and pairs share gains."""
