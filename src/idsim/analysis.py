@@ -214,7 +214,7 @@ def _pair_error_rate(
     errors = 0
     for n in core.chunk_sizes(trials, DOF_CHUNK):
         s = const.draw(rng, size=(n, 2 + g_int.shape[0]))
-        _, y = core.dissolve(h_pair, s[:, :2], s[:, 2:] @ g_int)
+        _, y = core.dissolve(h_pair, s[:, :2], s[:, 2:] @ g_int if len(g_int) else None)
         y += rng.standard_normal((n, 2))
         hat = core.pair_decode(y, np.broadcast_to(h_pair, (n, 2)), 1, const)
         errors += int(np.count_nonzero((hat[:, 0] != s[:, 0]) | (hat[:, 1] != s[:, 1])))

@@ -175,10 +175,31 @@ def _operands(memo, build, cands: np.ndarray):
     return memo[build]
 
 
-def _unit_candidates(cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The one-gain weight's candidate side: the norms ||c|| and the unit candidates c / ||c||."""
+def _unit_candidates(cands: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The one-gain weight's candidate side: the norms ||c||, the unit
+    candidates c / ||c||, a column-major copy of them, whose transpose is the
+    faster, C-contiguous product operand, and the norms repeated over at
+    least ``np.getbufsize()`` values (``_subtract_norms``)."""
     norms = np.hypot(cands[:, 0], cands[:, 1])
-    return norms, cands / norms[:, None]
+    units = cands / norms[:, None]
+    return norms, units, np.asfortranarray(units), np.tile(norms, -(-np.getbufsize() // len(norms)))
+
+
+def _subtract_norms(w: np.ndarray, norms: np.ndarray, tile: np.ndarray) -> None:
+    """``w -= norms`` along w's last axis, bit for bit, in loops of at least
+    ``np.getbufsize()`` values. numpy subtracts a (C,) row broadcast over
+    (rows, C) through its buffered iterator in one short loop per row, at
+    about twice the cost; ``tile``, the norms repeated, is subtracted from
+    groups of whole rows instead, and its leading rows from those left over."""
+    if not w.flags.c_contiguous:
+        w -= norms
+        return
+    rows = w.reshape(-1, len(norms))
+    q = len(rows) - len(rows) % (len(tile) // len(norms))
+    groups = rows[:q].reshape(-1, len(tile))
+    groups -= tile
+    if q < len(rows):
+        rows[q:] -= tile[: rows[q:].size].reshape(-1, len(norms))
 
 
 def _squares(cands: np.ndarray) -> np.ndarray:
@@ -219,9 +240,12 @@ def weight_matrix(y: np.ndarray, h_pair: np.ndarray, cands: np.ndarray, out=None
     """
     w, energy = out[:2] if out is not None else (None, None)
     if h_pair.shape[-1] == 1:
-        norms, units = _operands(memo, _unit_candidates, cands)
-        w = _odd_part(y / h_pair, units, w, fold)
-        w -= norms
+        norms, units, units_f, tile = _operands(memo, _unit_candidates, cands)
+        u = y / h_pair
+        # numpy scores a single row with a matrix-vector routine, whose last
+        # bits depend on the operand's layout; matrix products do not.
+        w = _odd_part(u, units_f if u.ndim == 2 and len(u) > 1 else units, w, fold)
+        _subtract_norms(w, norms, tile)
         return np.abs(w, out=w)
     w = _odd_part(y * h_pair, cands, w, fold)
     energy = np.matmul(h_pair * h_pair, _operands(memo, _squares, cands).T, out=energy)

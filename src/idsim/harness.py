@@ -408,15 +408,17 @@ def run_dof_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
 
 
 def _multicast_chunk(cfg, const, rng, n):
-    """One chunk of the multicast sweep: each user's errors on its own symbol."""
+    """One chunk of the multicast sweep: each user's errors on its own symbol,
+    users 1 and 2 their member of the decoded pair, user 3 s3 from the residual."""
     gains = model._signed_rayleigh(rng, (n, 3))
     s = const.draw(rng, size=(n, 3))
     _, x = multicast.multicast_precode(s)
     errors = []
     for u in range(3):
         y = multicast.multicast_observe(x, gains[:, u], rng)
-        s_hat = multicast.multicast_decode(y, gains[:, u], const, const)
-        errors.append(int(np.count_nonzero(s_hat[:, u] != s[:, u])))
+        pair = multicast.multicast_decode_pair(y, gains[:, u], const)
+        s_hat = pair[:, u] if u < 2 else multicast.multicast_decode_s3(y[:, 0], gains[:, u], *pair.T, const)
+        errors.append(int(np.count_nonzero(s_hat != s[:, u])))
     return errors
 
 

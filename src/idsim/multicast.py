@@ -52,12 +52,18 @@ def multicast_decode(
 ) -> np.ndarray:
     """Estimates (n, 3) of (s1, s2, s3) from observations y (n, 2) on gains h (n,).
 
-    The pair is decoded with the weight rule over the alphabet
+    The pair is decoded by ``multicast_decode_pair`` over the alphabet
     ``pair_const``; s3 is read from the first-use residual over ``s3_const``.
     """
-    pair = core.pair_decode(y, np.stack([h, h], axis=-1), 1, pair_const)
+    pair = multicast_decode_pair(y, h, pair_const)
     s3 = multicast_decode_s3(y[:, 0], h, pair[:, 0], pair[:, 1], s3_const)
     return np.column_stack([pair, s3])
+
+
+def multicast_decode_pair(y: np.ndarray, h: np.ndarray, const: PamConstellation) -> np.ndarray:
+    """Decisions (n, 2) on (s1, s2) from observations y (n, 2) on gains h (n,):
+    the weight rule over the alphabet ``const``, in its one-gain form."""
+    return core.pair_decode(y, np.stack([h, h], axis=-1), 1, const)
 
 
 def multicast_decode_s3(y1_user3, h3, s1_hat, s2_hat, const: PamConstellation):

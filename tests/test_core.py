@@ -803,6 +803,112 @@ class TestOneGainLikelihood:
             np.testing.assert_array_equal(np.sign(folds[0]), np.sign(folds[1]))
 
 
+# Reference one-gain kernels: the weight and likelihood of the earlier code,
+# one (C,) norm row broadcast over the block and the (C/2, 2) candidates'
+# transposed view as the product's operand. The core kernels must keep their
+# values bit for bit.
+def _reference_one_gain_weight(y, h_pair, cands, out=None, fold=None, memo=None):
+    norms = np.hypot(cands[:, 0], cands[:, 1])
+    units = cands / norms[:, None]
+    odd = np.matmul(y / h_pair, units.T, out=fold)
+    w = odd if fold is None else np.abs(odd)
+    w -= norms
+    return np.abs(w, out=w)
+
+
+def _reference_one_gain_ml(y, h_pair, cands, interference_power, out=None, fold=None, memo=None):
+    ipow = np.asarray(interference_power, dtype=float)
+    c_sq = cands * cands
+    norm_sq = c_sq[:, 0] + c_sq[:, 1]
+    c_rot = cands[:, ::-1] * [1.0, -1.0]
+    y_rot = y / h_pair
+    odd = np.matmul(2.0 * y_rot, cands.T, out=fold)
+    d_sq = norm_sq - (odd if fold is None else np.abs(odd))
+    proj = np.matmul(np.sqrt(ipow)[..., None] * y_rot, c_rot.T)
+    proj *= proj
+    proj /= np.matmul(np.stack([ipow, 1.0 + ipow], axis=-1), c_sq.T)
+    d_sq -= proj
+    return d_sq
+
+
+class TestOneGainBlocksKeepTheirBits:
+    """The one-gain kernels, scored in ``argmin_metric``'s blocks with a tiled
+    norm row and a C-contiguous operand, equal the reference formulas above
+    bit for bit: every block's values and fold signs, and the indices. A
+    one-row block, which numpy scores with a matrix-vector routine, is
+    covered by n = 1 and by every n = rows + 1."""
+
+    @pytest.mark.parametrize("q_s", [1, 3, 8, 13, 22])  # C/2 = 2, 18, 128, 338, 968
+    def test_blocks_and_indices(self, q_s):
+        const = core.alphabet(300.0, q_s)
+        cands = core.candidate_pairs(const)
+        half = len(cands) // 2
+        rows = max(1, min(core.BLOCK_ROWS, core.BLOCK_VALUES // half))
+        sizes = sorted({1, 2, 3, rows - 1, rows, rows + 1, 2 * rows + 1, 8192, 8193} - {0})
+        for n in sizes:
+            rng = RNG(89, q_s, n)
+            h = model._signed_rayleigh(rng, (n, 1))
+            y = h * rng.normal(scale=np.sqrt(300.0), size=(n, 2)) + rng.normal(size=(n, 2))
+            ipow = 300.0 * model._signed_rayleigh(rng, n) ** 2
+            for metric, reference, args in [
+                (core.weight_matrix, _reference_one_gain_weight, ()),
+                (core.ml_metric_matrix, _reference_one_gain_ml, (ipow,)),
+            ]:
+                blocks = []
+
+                def checking(y_b, h_b, back, *a, out, fold, memo):
+                    got = metric(y_b, h_b, back, *a, out=out, fold=fold, memo=memo)
+                    ref_fold = np.empty_like(fold)
+                    want = reference(y_b, h_b, back, *a, fold=ref_fold)
+                    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+                    np.testing.assert_array_equal(fold.view(np.int64), ref_fold.view(np.int64))
+                    blocks.append(len(y_b))
+                    return got
+
+                got = core.argmin_metric(checking, y, h, cands, *args)
+                np.testing.assert_array_equal(got, core.argmin_metric(reference, y, h, cands, *args))
+                assert blocks == [min(rows, n - lo) for lo in range(0, n, rows)]
+
+    def test_direct_calls(self):
+        """Called without ``out``, ``fold`` or ``memo``, on one row, on many,
+        and on a grid of observations per channel, the kernels return the
+        reference values bit for bit."""
+        const = core.alphabet(100.0, 8)
+        cands = core.candidate_pairs(const)
+        rng = RNG(97)
+        for shape in [(1,), (7,), (5, 3)]:
+            h = model._signed_rayleigh(rng, shape + (1,))
+            y = rng.normal(scale=10.0, size=shape + (2,))
+            ipow = 100.0 * rng.random(shape)
+            for got, want in [
+                (core.weight_matrix(y, h, cands), _reference_one_gain_weight(y, h, cands)),
+                (core.ml_metric_matrix(y, h, cands, ipow), _reference_one_gain_ml(y, h, cands, ipow)),
+            ]:
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("q_s", [1, 8, 22])
+    def test_memory_grows_only_by_the_outputs(self, q_s):
+        """The peak allocation of one-gain ``pair_decode`` grows from 8192 to
+        32768 rows by at most its per-row outputs: the indices (intp), the
+        fold signs (a float and a bool) and the (n, 2) decisions. No (n, C/2)
+        array and no row-side operand of the whole call is held."""
+        const = core.alphabet(100.0, q_s)
+        peaks = []
+        for n in (8192, 32768):
+            rng = RNG(101, n)
+            h = np.repeat(model._signed_rayleigh(rng, (n, 1)), 2, axis=1)
+            y = rng.normal(scale=10.0, size=(n, 2))
+            core.pair_decode(y, h, 1, const)
+            tracemalloc.start()
+            try:
+                core.pair_decode(y, h, 1, const)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        per_row = np.dtype(np.intp).itemsize + 8 + 1 + 2 * 8
+        assert peaks[1] - peaks[0] <= per_row * (32768 - 8192)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),

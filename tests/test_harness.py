@@ -462,6 +462,26 @@ class TestDminAndDofSweeps:
             s_hat = multicast.multicast_decode(y, gains[:, u], const, const)
             assert rows[u].ser == pytest.approx(np.mean(s_hat[:, u] != s[:, u]), rel=1e-12)
 
+    @pytest.mark.parametrize("q_s", [1, 2, 8])
+    def test_multicast_chunk_is_the_full_decode_loop(self, q_s):
+        """The chunk, which reads s3 for user 3 only, returns the error counts
+        of the loop that decodes (s1, s2, s3) for every user and keeps column
+        u, from the same stream, and leaves the stream where that loop does."""
+        n = 3001
+        const = model.constellation_for_power(10.0 ** 1.5, q_s)
+        rng, ref_rng = (np.random.default_rng([7, q_s]) for _ in range(2))
+        got = harness._multicast_chunk(None, const, rng, n)
+        gains = model._signed_rayleigh(ref_rng, (n, 3))
+        s = const.draw(ref_rng, size=(n, 3))
+        _, x = multicast.multicast_precode(s)
+        want = []
+        for u in range(3):
+            y = multicast.multicast_observe(x, gains[:, u], ref_rng)
+            s_hat = multicast.multicast_decode(y, gains[:, u], const, const)
+            want.append(int(np.count_nonzero(s_hat[:, u] != s[:, u])))
+        assert got == want and all(0 < e < n for e in want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
 
 class TestCsv:
     def test_columns_are_the_row_fields(self):
