@@ -132,7 +132,7 @@ def dmin_probe(const: PamConstellation, draws: int, rng: np.random.Generator, k:
         h = _signed_rayleigh(rng, n)
         g_int = _signed_rayleigh(rng, (n, k - 2))
         s = const.draw(rng, size=(n, k))
-        d2 = dmin_batch(s[:, :2], np.sum(g_int * s[:, 2:], axis=1), h, const)
+        d2 = dmin_batch(s[:, :2], core.out_of_pair_sum(s * np.column_stack([h, h, g_int]), 1), h, const)
         scaled.append(d2 * const.q_s**2 / (h**2 * const.a_s**2))
     return np.concatenate(scaled)
 
@@ -181,11 +181,11 @@ def dof_slope(p_grid, epsilon: float, trials: int, rng: np.random.Generator, k: 
     if not np.all(np.diff(p_grid) > 0.0):
         raise ValueError("dof needs a strictly increasing power grid: its slope is fitted over the top points")
     consts = [core.alphabet(p, q_s) for p, q_s in zip(p_grid, sizes)]
-    h_common = float(_signed_rayleigh(rng, ()))
-    g_int = _signed_rayleigh(rng, k - 2)
+    h_common = _signed_rayleigh(rng, ())
+    gains = np.concatenate([[h_common, h_common], _signed_rayleigh(rng, k - 2)])
     out = []
     for p, const in zip(p_grid, consts):
-        pe = _pair_error_rate(const, h_common, g_int, trials, rng)
+        pe = _pair_error_rate(const, gains, trials, rng)
         out.append(DofPoint(p=float(p), q_s=const.q_s, pe=pe, fano_bound=fano_rate_lower_bound(pe, const.q_s)))
     return out
 
@@ -205,18 +205,17 @@ def dof_growth_slope(points: list[DofPoint]) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _pair_error_rate(
-    const: PamConstellation, h_common: float, g_int: np.ndarray, trials: int, rng: np.random.Generator
-) -> float:
-    """Monte Carlo pair-error rate of the weight decoder over ``const``, fixed
-    channel, unit noise variance; frames are drawn DOF_CHUNK at a time."""
-    h_pair = np.array([h_common, h_common])
+def _pair_error_rate(const: PamConstellation, gains: np.ndarray, trials: int, rng: np.random.Generator) -> float:
+    """Monte Carlo pair-error rate of the weight decoder over ``const`` on the
+    fixed symbol gains ``gains`` (K,), pair 1's two equal, at unit noise
+    variance; frames are drawn DOF_CHUNK at a time."""
     errors = 0
     for n in core.chunk_sizes(trials, DOF_CHUNK):
-        s = const.draw(rng, size=(n, 2 + g_int.shape[0]))
-        _, y = core.dissolve(h_pair, s[:, :2], s[:, 2:] @ g_int if len(g_int) else None)
+        s = const.draw(rng, size=(n, len(gains)))
+        interference = core.out_of_pair_sum(s * gains, 1) if len(gains) > 2 else None
+        _, y = core.dissolve(gains[:2], s[:, :2], interference)
         y += rng.standard_normal((n, 2))
-        hat = core.pair_decode(y, np.broadcast_to(h_pair, (n, 2)), 1, const)
+        hat = core.pair_decode(y, np.broadcast_to(gains, s.shape), 1, const)
         errors += int(np.count_nonzero((hat[:, 0] != s[:, 0]) | (hat[:, 1] != s[:, 1])))
     return errors / trials
 

@@ -60,21 +60,11 @@ def chunk_sizes(total: int, chunk: int):
 
 
 def out_of_pair_sum(x: np.ndarray, m: int) -> np.ndarray:
-    """Sum of ``x[..., k]`` over the symbols k outside pair m.
-
-    Up to 7 columns are added one by one onto zeros, ``np.sum``'s order, so
-    the result is its bit for bit without its reduction one row at a time;
-    from 8 on ``np.sum`` adds pairwise, in another order, and is kept.
-    """
+    """Sum of ``x[..., k]`` over the symbols k outside pair m, by ``np.sum``:
+    every interference term is summed here, in one order."""
     k = x.shape[-1]
     pair = pair_members(k, m)
-    rest = [j for j in range(k) if j not in pair]
-    if len(rest) > 7:
-        return np.sum(x[..., rest], axis=-1)
-    total = np.zeros(x.shape[:-1])
-    for j in rest:
-        total += x[..., j]
-    return total
+    return np.sum(x[..., [j for j in range(k) if j not in pair]], axis=-1)
 
 
 def dissolve(h_pair: np.ndarray, s_pair: np.ndarray, interference) -> tuple[np.ndarray, np.ndarray]:

@@ -377,6 +377,40 @@ class TestDofSlope:
         assert analysis.dof_growth_slope(pts) == pytest.approx(0.45, rel=1e-12)
 
 
+class TestProbersSumThroughCore:
+    """Both probers take their interference from ``core.out_of_pair_sum``,
+    once per chunk of draws; a frame without interferers takes none."""
+
+    @staticmethod
+    def _count_calls(monkeypatch) -> list:
+        calls = []
+        out_of_pair_sum = core.out_of_pair_sum
+
+        def counted(x, m):
+            calls.append((x.shape, m))
+            return out_of_pair_sum(x, m)
+
+        monkeypatch.setattr(core, "out_of_pair_sum", counted)
+        return calls
+
+    def test_dof_slope(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        trials = analysis.DOF_CHUNK + 1
+        analysis.dof_slope([1e2, 1e3], 0.1, trials=trials, rng=np.random.default_rng(5), k=4)
+        assert calls == [((analysis.DOF_CHUNK, 4), 1), ((1, 4), 1)] * 2
+
+    def test_dof_slope_without_interferers(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        analysis.dof_slope([1e2, 1e3], 0.1, trials=analysis.DOF_CHUNK + 1, rng=np.random.default_rng(5), k=2)
+        assert calls == []
+
+    def test_dmin_probe(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        const = model.constellation_for_power(100.0, 2)
+        analysis.dmin_probe(const, analysis.DMIN_CHUNK + 1, np.random.default_rng(5), k=4)
+        assert calls == [((analysis.DMIN_CHUNK, 4), 1), ((1, 4), 1)]
+
+
 class TestCovarianceForms:
     def test_conditional_matches_monte_carlo(self):
         """Closed-form conditional covariance entries agree with sampling."""

@@ -162,7 +162,7 @@ class TestPairing:
     @pytest.mark.parametrize("k", range(2, 15))
     def test_out_of_pair_sum_is_np_sum_bit_for_bit(self, k):
         """For 0 to 12 columns outside the pair the sum equals ``np.sum`` over
-        them, the formula it replaced, to the last bit and in the sign of
+        them to the last bit and in the sign of
         zero, on values spread over 60 orders of magnitude with signed
         zeros among them; a single channel (K,) gives its 0-d sum."""
         rng = RNG(83, k)
@@ -721,6 +721,29 @@ class TestOneGainWeight:
                     assert res[-1] is out[0]
             assert_scaled(*res, back)
             np.testing.assert_array_equal(np.sign(folds[0]), np.sign(folds[1]))
+
+    @pytest.mark.parametrize("n", [2, 67, 100])  # 100 rows of C/2 = 128 exceed one norm tile
+    @pytest.mark.parametrize("view", [lambda a, c: a[:, : c], lambda a, c: a[:, ::2]], ids=["padded", "every_other"])
+    def test_non_contiguous_buffers_keep_their_bits(self, n, view):
+        """Views into wider arrays as ``out`` and ``fold``: the values and the
+        fold equal the contiguous call's bit for bit. Padded rows cannot be
+        regrouped into whole rows without a copy, so the norms must be
+        subtracted in place, not from a copy."""
+        rng = RNG(61, n)
+        cands = core.candidate_pairs(core.alphabet(300.0, 8))
+        back = cands[len(cands) // 2:]
+        h = model._signed_rayleigh(rng, (n, 1))
+        y = h * rng.normal(scale=np.sqrt(300.0), size=(n, 2)) + rng.normal(size=(n, 2))
+        for cs in (cands, back):
+            buffer = lambda: view(np.empty((n, 2 * len(cs))), len(cs))  # noqa: E731
+            fold, fold_view = (None, None) if cs is cands else (np.empty((n, len(cs))), buffer())
+            want = core.weight_matrix(y, h, cs, out=[np.empty((n, len(cs))) for _ in range(2)], fold=fold)
+            out = [buffer(), buffer()]
+            got = core.weight_matrix(y, h, cs, out=out, fold=fold_view)
+            assert got is out[0] and not got.flags.c_contiguous
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+            if fold is not None:
+                np.testing.assert_array_equal(fold_view.view(np.int64), fold.view(np.int64))
 
     @pytest.mark.parametrize(
         "experiment,kw,widths",

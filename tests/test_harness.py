@@ -265,6 +265,37 @@ class TestWorkers:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_exception_that_does_not_pickle_keeps_its_traceback(self, monkeypatch):
+        """A child's exception that cannot be sent at all, as it holds a lock,
+        arrives as a WorkerError holding the child's traceback."""
+        monkeypatch.setattr(harness, "usable_cores", lambda: 2)
+        parent = os.getpid()
+        ser_chunk = harness._ser_chunk
+
+        class HoldsLock(Exception):
+            pass
+
+        def flaky(*args):
+            if os.getpid() != parent:
+                exc = HoldsLock("cannot travel")
+                exc.lock = threading.Lock()
+                raise exc
+            return ser_chunk(*args)
+
+        monkeypatch.setattr(harness, "_ser_chunk", flaky)
+        with pytest.raises(harness.WorkerError) as exc:
+            harness.run_experiment(small_cfg())
+        assert "sweep worker 1 failed" in str(exc.value)
+        assert "in flaky" in str(exc.value)
+        assert "HoldsLock: cannot travel" in str(exc.value)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_usable_cores_without_affinity(self, monkeypatch):
+        """Where the platform has no sched_getaffinity, the CPU count."""
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert harness.usable_cores() == (os.cpu_count() or 1)
+
     def test_no_fork_while_other_threads_run(self, monkeypatch):
         """With another thread running the sweep stays in this process."""
         monkeypatch.setattr(harness, "usable_cores", lambda: 2)
@@ -557,8 +588,8 @@ def test_benchmark_csv_is_byte_identical_to_its_reference(workload, seed, tmp_pa
 # Small runs off the benchmark's paths, recorded in tests/data before the
 # two-PAM chunk's exact rewrites: the weight and K = 2 `ml` decoders at
 # q_s = 2, the likelihood at odd K on the block antenna map, the rate sweep
-# at K = 2 and at K = 10 (whose out-of-pair sums take np.sum's pairwise
-# path), the dof prober and the dmin probe.
+# at K = 2 and at K = 10 (eight out-of-pair columns per sum), the dof
+# prober and the dmin probe.
 RECORDED_RUNS = {
     "ser_k2_qs2_weight": ["ser", "--k", "2", "--qs", "2", "--snr-db", "0:10:30", "--trials", "20000"],
     "ser_k2_qs2_ml": ["ser", "--k", "2", "--qs", "2", "--decoder", "ml", "--snr-db", "0:10:30", "--trials", "20000"],
