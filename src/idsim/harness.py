@@ -279,53 +279,53 @@ def _pair_errors(hat: np.ndarray, s: np.ndarray) -> int:
     return int(np.count_nonzero(hat != s[:, :2]))
 
 
+def _id_errors(cfg, point, frame, rng):
+    h, _, s, _, y = frame
+    return _pair_errors(_id_decode_batch(cfg, point[0], h, y), s)
+
+
+def _mrc_errors(cfg, point, frame, rng):
+    const2p, gn = point[1], baselines.mrc_effective_gain(frame[1])
+    sm = const2p.draw(rng, size=len(gn))
+    ym = gn * sm + rng.standard_normal(len(gn))
+    return int(np.count_nonzero(baselines.mrc_decode_batch(ym, gn, const2p) != sm))
+
+
+def _successive_errors(cfg, point, frame, rng):
+    h, _, s, _, _ = frame
+    ysu = h[:, 0] * s[:, 0] + h[:, 1] * s[:, 1] + rng.standard_normal(len(h))
+    return _pair_errors(baselines._successive_decode_batch(ysu, h[:, 0], h[:, 1], point[0]), s)
+
+
+# The ser sweep's rows at each grid point, in order: (scheme, symbols per frame,
+# errors(cfg, (alphabet, alphabet at 2P), _id_frame_batch's frame, rng)). The ID
+# row, None, is id_{cfg.decoder} and carries tx_power_use2. Each entry draws from
+# the chunk's stream after the one before it, so one appended moves no other row.
+SER_SCHEMES = (
+    (None, 2, _id_errors),  # pair 1, decoded by core.pair_decode
+    ("mrc_miso", 1, _mrc_errors),  # one symbol per use
+    ("successive", 2, _successive_errors),  # pair 1 superposed in one use
+)
+
+
 def _ser_chunk(cfg, point, rng, n):
-    """One chunk of the SER sweep: (ID errors, MRC errors, successive errors, power2).
-
-    ``power2`` is this chunk's sum of second-use powers.
-    """
-    const, const2p = point
-    h, g, s, beta, y = _id_frame_batch(cfg, const, n, rng)
-    id_err = _pair_errors(_id_decode_batch(cfg, const, h, y), s)
-    power2 = float(np.sum(core.second_use_power(beta, s)))
-
-    sm = const2p.draw(rng, size=n)
-    gn = baselines.mrc_effective_gain(g)
-    ym = gn * sm + rng.standard_normal(n)
-    mrc_err = int(np.count_nonzero(baselines.mrc_decode_batch(ym, gn, const2p) != sm))
-
-    ysu = h[:, 0] * s[:, 0] + h[:, 1] * s[:, 1] + rng.standard_normal(n)
-    succ_err = _pair_errors(baselines._successive_decode_batch(ysu, h[:, 0], h[:, 1], const), s)
-    return id_err, mrc_err, succ_err, power2
+    """One chunk of the SER sweep: this chunk's sum of second-use powers, then
+    each ``SER_SCHEMES`` entry's errors, in table order."""
+    frame = _id_frame_batch(cfg, point[0], n, rng)
+    power2 = float(np.sum(core.second_use_power(frame[3], frame[2])))
+    return (power2, *(errors(cfg, point, frame, rng) for _, _, errors in SER_SCHEMES))
 
 
 def run_ser_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
-    """Per-symbol SER of ID, transmit-MRC MISO, and successive decoding."""
-    points = []
-    for zdb in cfg.zeta_db_grid:
-        p = cfg.power_at(zdb)
-        points.append((core.alphabet(p, cfg.q_s), model.constellation_for_power(2.0 * p, cfg.q_s)))
-    sums = _run_chunks(cfg, _ser_chunk, points)
-
-    rows: list[SweepRow] = []
-    id_scheme = f"id_{cfg.decoder}"
-    for zdb, (id_err, mrc_err, succ_err, power2) in zip(cfg.zeta_db_grid, sums):
-        for scheme, err, symbols in (
-            (id_scheme, id_err, 2 * cfg.trials),
-            ("mrc_miso", mrc_err, cfg.trials),
-            ("successive", succ_err, 2 * cfg.trials),
-        ):
-            rows.append(
-                SweepRow(
-                    experiment=cfg.experiment,
-                    scheme=scheme,
-                    zeta_db=float(zdb),
-                    trials=symbols,
-                    ser=err / symbols,
-                    tx_power_use2=power2 / cfg.trials if scheme == id_scheme else None,
-                )
-            )
-    return rows
+    """Per-symbol SER of each ``SER_SCHEMES`` entry: ID, transmit-MRC MISO, and successive decoding."""
+    points = [(core.alphabet(p, cfg.q_s), model.constellation_for_power(2.0 * p, cfg.q_s))
+              for p in map(cfg.power_at, cfg.zeta_db_grid)]
+    return [
+        SweepRow(cfg.experiment, scheme or f"id_{cfg.decoder}", float(zdb), per_frame * cfg.trials,
+                 ser=err / (per_frame * cfg.trials), tx_power_use2=None if scheme else power2 / cfg.trials)
+        for zdb, (power2, *errors) in zip(cfg.zeta_db_grid, _run_chunks(cfg, _ser_chunk, points))
+        for (scheme, per_frame, _), err in zip(SER_SCHEMES, errors)
+    ]
 
 
 def _rate_chunk(cfg, point, rng, n):

@@ -69,7 +69,7 @@ def multicast_decode_pair(y: np.ndarray, h: np.ndarray, const: PamConstellation)
 def multicast_decode_s3(y1_user3, h3, s1_hat, s2_hat, const: PamConstellation):
     """Strip the decoded pair from user 3's first observation and decode s3.
 
-    Takes scalars or equal-shape arrays, one entry per frame.
+    Takes equal-shape arrays, one entry per frame: one frame is a batch of one.
     """
     residual = y1_user3 - h3 * (s1_hat + s2_hat)
     return const.nearest(residual / (ALPHA * h3))

@@ -611,14 +611,17 @@ def test_unit_noise_is_drawn_only_with_standard_normal():
     1.0, n)`` is 0.0 + 1.0 * z over the same ``standard_normal`` stream, one
     more pass, and equal to z but for z = -0.0 (about 2^-54 per draw), which
     it makes +0.0: added to a nonzero observation, either gives the same
-    bits. No module calls ``.normal(``, and the sweeps' noise draws, in
-    ``harness``, ``multicast`` and ``analysis._pair_error_rate``, use
+    bits. No module or demo calls ``.normal(``, and the sweeps' noise draws,
+    in ``harness``, ``multicast`` and ``analysis._pair_error_rate``, use
     ``standard_normal``."""
     from idsim import analysis
 
+    demos = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+    assert demos
     modules = {path.name: path.read_text() for path in Path(core.__file__).parent.glob("*.py")}
     assert "harness.py" in modules and "multicast.py" in modules
-    assert {name: text.count(".normal(") for name, text in modules.items() if ".normal(" in text} == {}
+    texts = {**modules, **{f"demos/{path.name}": path.read_text() for path in demos}}
+    assert {name: text.count(".normal(") for name, text in texts.items() if ".normal(" in text} == {}
     for text in (modules["harness.py"], modules["multicast.py"], inspect.getsource(analysis._pair_error_rate)):
         assert "rng.standard_normal(" in text
 

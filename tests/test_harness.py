@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import importlib
+import itertools
 import mmap
 import os
 import platform
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 import idsim
 from idsim import analysis, cli, core, harness, model, multicast
+from test_core import _direct_known_beta, _direct_ml, _direct_weight
 
 # The directory idsim was imported from, so that subprocesses run the same
 # code whether or not the package is installed.
@@ -125,6 +127,104 @@ class TestSerSweep:
     def test_ml_decoder_scheme_name(self):
         rows = harness.run_ser_sweep(small_cfg(decoder=core.ML))
         assert any(r.scheme == "id_ml" for r in rows)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("decoder", [core.WEIGHT, core.ML])
+    @pytest.mark.parametrize("q_s", [1, 2, 8])
+    def test_rows_match_a_written_out_reference_chunk(self, k, decoder, q_s, monkeypatch):
+        """Each grid point's rows, one chunk of frames, are the error counts
+        and second-use power of the model written out on that chunk's stream:
+        every scheme's name, order, symbol count and errors."""
+        monkeypatch.setattr(harness, "usable_cores", lambda: 1)
+        grid = [0.0, 10.0, 20.0]
+        cfg = small_cfg(k=k, q_s=q_s, decoder=decoder, zeta_db_grid=grid, trials=600)
+        rows = harness.run_ser_sweep(cfg)
+        assert len(rows) == 3 * len(grid)
+        errors = np.zeros(3, dtype=int)
+        for zi, zdb in enumerate(grid):
+            schemes, power2 = _reference_ser_chunk(cfg, zdb, harness._rng(cfg, zi, 0))
+            got = rows[3 * zi : 3 * zi + 3]
+            assert [(r.scheme, r.zeta_db, r.trials, r.ser) for r in got] == [
+                (name, zdb, symbols, err / symbols) for name, symbols, err in schemes
+            ]
+            assert got[0].tx_power_use2 == pytest.approx(power2 / cfg.trials, rel=1e-12)
+            assert got[1].tx_power_use2 is None and got[2].tx_power_use2 is None
+            errors += [err for _, _, err in schemes]
+        assert np.all(errors > 0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_appended_scheme_moves_no_earlier_row(self, workers, monkeypatch):
+        """A scheme appended to ``SER_SCHEMES`` draws from each chunk's stream
+        after the others, so every other row keeps its bytes; its row comes
+        last at each grid point, over ``trials`` symbols, with no second-use
+        power."""
+        monkeypatch.setattr(harness, "usable_cores", lambda: workers)
+        cfg = small_cfg(k=3, trials=5 * harness.CHUNK // 2)
+        before = harness.rows_to_csv(harness.run_ser_sweep(cfg)).splitlines()
+
+        def draws_and_errs_nowhere(cfg, point, frame, rng):
+            rng.standard_normal(len(frame[0]))
+            return 0
+
+        schemes = (*harness.SER_SCHEMES, ("appended", 1, draws_and_errs_nowhere))
+        monkeypatch.setattr(harness, "SER_SCHEMES", schemes)
+        after = harness.rows_to_csv(harness.run_ser_sweep(cfg)).splitlines()
+        assert len(after) == 1 + len(schemes) * len(cfg.zeta_db_grid)
+        assert [line for line in after if ",appended," not in line] == before
+        appended = [dict(zip(harness.CSV_COLUMNS, line.split(","))) for line in after[len(schemes) :: len(schemes)]]
+        assert [row["scheme"] for row in appended] == ["appended"] * len(cfg.zeta_db_grid)
+        assert all(row["trials"] == str(cfg.trials) and row["tx_power_use2"] == "" for row in appended)
+
+
+def _reference_ser_chunk(cfg, zdb, rng):
+    """One ``ser`` chunk of ``cfg.trials`` frames at ``zdb`` written out from
+    the model, drawn from ``rng`` in the chunk's order: each scheme's (name,
+    symbols, errors), in row order, and the sum of second-use powers.
+
+    Pair 1 is observed as y = v + beta v_perp + noise and decoded by the
+    direct metrics over all (2 q_s)^2 candidate pairs, with no fold or
+    blocks; MRC and successive decoding are slicers by argmin."""
+    n, p = cfg.trials, cfg.power_at(zdb)
+    const, const2p = model.constellation_for_power(p, cfg.q_s), model.constellation_for_power(2.0 * p, cfg.q_s)
+    h, g = model.draw_channels(cfg.k, 2, n, rng)
+    s = const.draw(rng, size=(n, cfg.k))
+    noise = rng.standard_normal((2, n)).T
+    sm = const2p.draw(rng, size=n)
+    mrc_noise = rng.standard_normal(n)
+    successive_noise = rng.standard_normal(n)
+
+    h_pair, v = h[:, :2], h[:, :2] * s[:, :2]
+    beta = 1.0 + np.sum(h[:, 2:] * s[:, 2:], axis=1) / v[:, 1]
+    y = v + beta[:, None] * np.stack([v[:, 1], -v[:, 0]], axis=1) + noise
+    points = const.points
+    cands = np.array(list(itertools.product(points, points)))
+    if cfg.decoder == core.WEIGHT:
+        metric = _direct_weight(y, h_pair, cands)
+    elif cfg.k == 2:
+        metric = _direct_known_beta(y, h_pair, cands, 1.0)
+    else:
+        metric = _direct_ml(y, h_pair, cands, const.power * np.sum(h[:, 2:] ** 2, axis=1))
+    id_errors = np.count_nonzero(cands[np.argmin(metric, axis=1)] != s[:, :2])
+    power2 = np.sum(beta**2 * s[:, 0] ** 2 + s[:, 1] ** 2)
+
+    def slice_(x, gain, alphabet):
+        return alphabet[np.argmin(np.abs(x[:, None] - gain[:, None] * alphabet), axis=1)]
+
+    gn = np.linalg.norm(g, axis=1)
+    mrc_errors = np.count_nonzero(slice_(gn * sm + mrc_noise, gn, const2p.points) != sm)
+
+    # The stronger gain's symbol first (s_0 on a tie), then the other from the residual.
+    ysu = v[:, 0] + v[:, 1] + successive_noise
+    first = np.abs(h[:, 0]) >= np.abs(h[:, 1])
+    h_first, h_second = np.where(first, h[:, 0], h[:, 1]), np.where(first, h[:, 1], h[:, 0])
+    s_first = slice_(ysu, h_first, points)
+    s_second = slice_(ysu - h_first * s_first, h_second, points)
+    hat = np.where(first[:, None], np.stack([s_first, s_second], 1), np.stack([s_second, s_first], 1))
+    successive_errors = np.count_nonzero(hat != s[:, :2])
+
+    schemes = [(f"id_{cfg.decoder}", 2 * n, id_errors), ("mrc_miso", n, mrc_errors),
+               ("successive", 2 * n, successive_errors)]
+    return schemes, power2
 
 
 class TestWorkers:
